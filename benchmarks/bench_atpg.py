@@ -37,7 +37,6 @@ import time
 from common import Table, conventional_flow
 from repro.cdfg import suite
 from repro.gatelevel import all_faults, expand_datapath, generate_tests
-from repro.gatelevel.kernel import have_kernel
 
 ROOT_JSON = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_atpg.json"
@@ -146,7 +145,6 @@ def run_experiment(cases=None, root_json: bool = True) -> Table:
     if root_json:
         ROOT_JSON.write_text(json.dumps({
             "experiment": "PERF-atpg",
-            "kernel_available": have_kernel(),
             "cases": records,
             "largest_case_speedup": records[-1]["speedup"],
             "bench_seconds": round(bench_seconds, 2),
@@ -155,10 +153,6 @@ def run_experiment(cases=None, root_json: bool = True) -> Table:
 
 
 def test_atpg_accel(benchmark):
-    import pytest
-
-    if not have_kernel():
-        pytest.skip("accelerated fault dropping needs numpy")
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     for row in table.rows:
         assert row[-1], row  # accelerated == reference on every case

@@ -41,7 +41,7 @@ from repro.gatelevel import batch as gbatch
 from repro.gatelevel import genscale
 from repro.gatelevel.batch import SeqJob, sequential_detect_many
 from repro.gatelevel.faults import all_faults
-from repro.gatelevel.kernel import compiled, have_kernel
+from repro.gatelevel.kernel import compiled
 from repro.gatelevel.random_patterns import random_pattern_coverage
 from repro.gatelevel.structure import structural_analysis
 
@@ -258,7 +258,6 @@ def run_experiment(sparse_cases=None, seq_cases=None, dense_cases=None,
     if root_json:
         ROOT_JSON.write_text(json.dumps({
             "experiment": "PERF-batch",
-            "kernel_available": have_kernel(),
             "nproc": os.cpu_count(),
             "coverage_sparse": sparse_records,
             "seq_free_run": seq_records,
@@ -272,10 +271,6 @@ def run_experiment(sparse_cases=None, seq_cases=None, dense_cases=None,
 
 
 def test_batch(benchmark):
-    import pytest
-
-    if not have_kernel():
-        pytest.skip("fused kernel batching needs numpy")
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     for row in table.rows:
         assert row[-1], row  # identity on every row

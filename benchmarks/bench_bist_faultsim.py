@@ -37,7 +37,6 @@ from repro.gatelevel.bist_session import (
     build_bist_hardware,
 )
 from repro.gatelevel.faults import all_faults
-from repro.gatelevel.kernel import have_kernel
 
 ROOT_JSON = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_bist.json"
@@ -159,7 +158,6 @@ def run_experiment(cases=None, root_json: bool = True) -> Table:
         )
         ROOT_JSON.write_text(json.dumps({
             "experiment": "PERF-bist",
-            "kernel_available": have_kernel(),
             "cases": records,
             "largest_case_speedup": records[-1]["speedup"],
             "insitu_bist_end_to_end": e2e,
@@ -169,10 +167,6 @@ def run_experiment(cases=None, root_json: bool = True) -> Table:
 
 
 def test_bist_faultsim_kernel(benchmark):
-    import pytest
-
-    if not have_kernel():
-        pytest.skip("fault-parallel backend needs numpy")
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     for row in table.rows:
         assert row[-1], row  # kernel == interpreter on every case

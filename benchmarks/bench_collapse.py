@@ -34,7 +34,6 @@ from repro.flow.metrics import collect
 from repro.gatelevel import genscale
 from repro.gatelevel.fault_sim import fault_simulate_cycles
 from repro.gatelevel.faults import all_faults
-from repro.gatelevel.kernel import have_kernel
 from repro.gatelevel.structure import structural_analysis
 from repro.gatelevel.test_generation import generate_tests
 
@@ -216,7 +215,6 @@ def run_experiment(fs_cases=None, atpg_cases=None,
     if root_json:
         ROOT_JSON.write_text(json.dumps({
             "experiment": "PERF-collapse",
-            "kernel_available": have_kernel(),
             "nproc": os.cpu_count(),
             "buf_ratio": BUF_RATIO,
             "fault_sim": fs_records,
@@ -231,10 +229,6 @@ def run_experiment(fs_cases=None, atpg_cases=None,
 
 
 def test_collapse(benchmark):
-    import pytest
-
-    if not have_kernel():
-        pytest.skip("kernel backend needs numpy")
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     for row in table.rows:
         assert row[-1], row  # identity on every row

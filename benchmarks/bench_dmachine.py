@@ -37,7 +37,6 @@ from repro.flow.flows import (
     dmachine_random_row,
     dmachine_scan_row,
 )
-from repro.gatelevel.kernel import have_kernel
 
 ROOT_JSON = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -173,7 +172,6 @@ def run_experiment(cases=None, root_json: bool = True) -> Table:
     if root_json:
         doc = {
             "experiment": "PERF-dmachine",
-            "kernel_available": have_kernel(),
             "nproc": os.cpu_count(),
             "cases": records,
             "gates_default": records[0]["gates"],
@@ -186,10 +184,6 @@ def run_experiment(cases=None, root_json: bool = True) -> Table:
 
 
 def test_dmachine(benchmark):
-    import pytest
-
-    if not have_kernel():
-        pytest.skip("the CPU flows need the numpy kernel")
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
     if not quick:

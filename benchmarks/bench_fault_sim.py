@@ -24,7 +24,6 @@ from common import Table, conventional_flow
 from repro.cdfg import suite
 from repro.gatelevel import all_faults, expand_datapath
 from repro.gatelevel.fault_sim import fault_simulate_cycles
-from repro.gatelevel.kernel import have_kernel
 
 ROOT_JSON = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_fault_sim.json"
@@ -119,7 +118,6 @@ def run_experiment(cases=None, root_json: bool = True) -> Table:
     if root_json:
         ROOT_JSON.write_text(json.dumps({
             "experiment": "PERF-faultsim",
-            "kernel_available": have_kernel(),
             "cases": records,
             "largest_case_speedup": records[-1]["speedup"],
             "bench_seconds": round(bench_seconds, 2),
@@ -128,10 +126,6 @@ def run_experiment(cases=None, root_json: bool = True) -> Table:
 
 
 def test_fault_sim_kernel(benchmark):
-    import pytest
-
-    if not have_kernel():
-        pytest.skip("kernel backend needs numpy")
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     for row in table.rows:
         assert row[-1], row  # kernel == interpreter on every case

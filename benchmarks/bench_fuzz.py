@@ -30,7 +30,6 @@ import time
 from common import Table
 from repro.fuzz.campaign import CampaignConfig, load_journal, run_campaign
 from repro.fuzz.oracles import INJECTED_BUGS
-from repro.gatelevel.kernel import have_kernel
 
 ROOT_JSON = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_fuzz.json"
@@ -161,7 +160,6 @@ def run_experiment(budgets=None, root_json: bool = True) -> Table:
     if root_json:
         ROOT_JSON.write_text(json.dumps({
             "experiment": "ROBUST-fuzz",
-            "kernel_available": have_kernel(),
             "nproc": os.cpu_count(),
             "seed": SEED,
             "budgets": budgets,
@@ -174,10 +172,6 @@ def run_experiment(budgets=None, root_json: bool = True) -> Table:
 
 
 def test_fuzz(benchmark):
-    import pytest
-
-    if not have_kernel():
-        pytest.skip("the differential oracles need the numpy kernel")
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     # a clean tree must fuzz clean under the real oracles
     real = table.real_campaign["outcomes"]

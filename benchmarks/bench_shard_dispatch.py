@@ -36,7 +36,6 @@ from repro.flow.resilience import set_shard_pool_provider
 from repro.gatelevel import genscale
 from repro.gatelevel.bist_session import bist_fault_attribution
 from repro.gatelevel.fault_sim import fault_simulate_cycles
-from repro.gatelevel.kernel import have_kernel
 from repro.serve.registry import WarmPoolProvider
 
 ROOT_JSON = (
@@ -216,7 +215,6 @@ def run_experiment(cases=None, root_json: bool = True) -> Table:
     if root_json:
         ROOT_JSON.write_text(json.dumps({
             "experiment": "PERF-shard-dispatch",
-            "kernel_available": have_kernel(),
             "nproc": os.cpu_count(),
             "shards": SHARDS,
             "cases": records,
@@ -232,8 +230,6 @@ def run_experiment(cases=None, root_json: bool = True) -> Table:
 def test_shard_dispatch(benchmark):
     import pytest
 
-    if not have_kernel():
-        pytest.skip("kernel backend needs numpy")
     if not shm.shm_available():
         pytest.skip("no usable shared memory here")
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)

@@ -29,6 +29,7 @@ from repro.flow.runner import (
     Unavailable,
     is_unavailable,
 )
+from repro.flow.shm import shard_map
 from repro.flow.stage import Stage
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "is_unavailable",
     "record_metric",
     "run_sharded",
+    "shard_map",
     "stage_key",
     "value_digest",
 ]

@@ -137,7 +137,7 @@ def fullscan_flow(cases: Sequence[tuple[str, int, int]] | None = None,
                     "max_faults": max_faults, "backend": backend,
                     "atpg_backend": atpg_backend, "predrop": predrop,
                     "shards": shards},
-            code_deps=("repro.rtl", "repro.gatelevel"),
+            code_deps=("repro.rtl", "repro.gatelevel", "repro.flow.shm"),
         )
     f.stage(
         "table", fullscan_table,
@@ -401,7 +401,9 @@ def insitu_bist_flow(names: Sequence[str] | None = None,
                     "shards": shards},
             code_deps=("repro.cdfg", "repro.hls", "repro.bist",
                        "repro.gatelevel.bist_session",
-                       "repro.gatelevel.kernel"),
+                       "repro.gatelevel.kernel",
+                       "repro.gatelevel.structure",
+                       "repro.flow.shm"),
         )
     f.stage(
         "table", insitu_bist_table,
@@ -585,7 +587,9 @@ def hierarchical_flow(width: int = HIER_WIDTH,
                 "batch": batch},
         code_deps=("repro.gatelevel.fault_sim",
                    "repro.gatelevel.kernel",
-                   "repro.gatelevel.batch"),
+                   "repro.gatelevel.batch",
+                   "repro.gatelevel.structure",
+                   "repro.flow.shm"),
     )
     f.stage(
         "flat_atpg", hier_flat_atpg,
@@ -775,7 +779,8 @@ def coverage_flow(design: str = "gs:400:3", n_patterns: int = 256,
                 "seed": seed, "backend": backend},
         code_deps=("repro.gatelevel.random_patterns",
                    "repro.gatelevel.kernel",
-                   "repro.gatelevel.batch"),
+                   "repro.gatelevel.batch",
+                   "repro.gatelevel.structure"),
     )
     f.stage(
         "table", coverage_table,
@@ -1009,7 +1014,8 @@ def dmachine_flow(width: int = 16, nregs: int = 16,
                 "backend": backend},
         code_deps=("repro.designs",
                    "repro.gatelevel.random_patterns",
-                   "repro.gatelevel.kernel"),
+                   "repro.gatelevel.kernel",
+                   "repro.gatelevel.structure"),
     )
     f.stage(
         "atpg", dmachine_atpg_row,
@@ -1018,7 +1024,9 @@ def dmachine_flow(width: int = 16, nregs: int = 16,
         params={"n_faults": n_faults, "backtracks": backtracks,
                 "seed": seed, "backend": backend, "shards": shards},
         code_deps=("repro.gatelevel.test_generation",
-                   "repro.gatelevel.atpg"),
+                   "repro.gatelevel.atpg",
+                   "repro.gatelevel.structure",
+                   "repro.flow.shm"),
     )
     f.stage(
         "random", dmachine_random_row,
@@ -1027,7 +1035,8 @@ def dmachine_flow(width: int = 16, nregs: int = 16,
         params={"patterns": patterns, "n_faults": n_faults,
                 "seed": seed, "backend": backend},
         code_deps=("repro.gatelevel.random_patterns",
-                   "repro.gatelevel.kernel"),
+                   "repro.gatelevel.kernel",
+                   "repro.gatelevel.structure"),
     )
     f.stage(
         "bist", dmachine_bist_row,
@@ -1038,7 +1047,9 @@ def dmachine_flow(width: int = 16, nregs: int = 16,
                 "backend": backend, "shards": shards},
         code_deps=("repro.designs",
                    "repro.gatelevel.bist_session",
-                   "repro.gatelevel.kernel"),
+                   "repro.gatelevel.kernel",
+                   "repro.gatelevel.structure",
+                   "repro.flow.shm"),
     )
     f.stage(
         "table", dmachine_table,
@@ -1121,7 +1132,9 @@ def fuzz_smoke_flow(trials: int = 8, seed: int = 0,
                    "repro.gatelevel.fault_sim",
                    "repro.gatelevel.atpg",
                    "repro.gatelevel.bist_session",
-                   "repro.gatelevel.batch"),
+                   "repro.gatelevel.batch",
+                   "repro.gatelevel.structure",
+                   "repro.flow.shm"),
     )
     f.stage(
         "table", fuzz_smoke_table,

@@ -1,21 +1,33 @@
-"""Shared-memory payload plane for fault-parallel shard dispatch.
+"""One fault-parallel shard-dispatch path: :func:`shard_map`.
 
-Every shard task used to pickle its full payload -- the netlist, the
-pattern sequence, the fault chunk -- through the process-pool pipe, so
-dispatching N shards shipped O(N x design x patterns) bytes and every
-worker re-ran unpickle + compile from scratch.  This module publishes
-the large payloads **once** into POSIX shared memory
-(:mod:`multiprocessing.shared_memory`) and ships only tiny references
-(name + shape + digest) through the pipe; workers map the segments
-read-only and reuse decoded payloads across tasks via content-digest
-caches.
+Every sharded kernel caller (fault simulation, PODEM, BIST attribution,
+fused multi-design runs) names its shared payloads and supplies one
+worker; :func:`shard_map` does the rest.  A worker receives ``(refs,
+start, end)`` and turns each ref back into its payload with
+:func:`fetch`, whichever transport carried it.
+
+Transports
+----------
+
+The transport decision lives here and nowhere else
+(:func:`resolve_transport`, ``REPRO_SHARD_TRANSPORT``):
+
+* ``shm`` (the default wherever shared memory works) publishes each
+  payload into POSIX shared memory (:mod:`multiprocessing.shared_memory`)
+  and ships only tiny references (name + shape + digest) through the
+  pipe.  Arrays become zero-copy :class:`ShmHandle` views, everything
+  else a digest-keyed :class:`ObjectRef` that a warm worker unpickles
+  at most once per pool generation.
+* ``pickle`` ships every payload inline in every shard's args -- the
+  only path on hosts without ``/dev/shm``.  :func:`fetch` returns an
+  inline value unchanged, so workers are transport-agnostic.
 
 Lifecycle discipline
 --------------------
 
-* The **parent owns every segment**: :class:`PayloadPlane` is a context
-  manager that creates segments and close()+unlink()s all of them on
-  exit (normal or exceptional), with a module-level ``atexit`` backstop.
+* The **parent owns every segment**: :class:`PayloadPlane` creates
+  segments and close()+unlink()s all of them when the dispatch ends
+  (normal or exceptional), with a module-level ``atexit`` backstop.
   Workers never create segments, so a chaos-killed worker cannot leak
   one -- ``/dev/shm`` holds only ``repro_*`` entries for planes that are
   currently open.
@@ -28,10 +40,7 @@ Lifecycle discipline
   parent's ``unlink()`` clears it exactly once, and a crashed tree
   still gets the segment reclaimed by the tracker (bpo-39959 is a
   spawn-separate-tracker problem this layout avoids).
-* **Graceful fallback**: :func:`resolve_transport` degrades to the
-  classic pickle path when shared memory is unavailable (no ``/dev/shm``,
-  sealed sandbox) or when ``REPRO_SHARD_TRANSPORT=pickle`` forces it.
-  The resilience harness's in-process serial fallback works under both
+* The resilience harness's in-process serial fallback works under both
   transports -- the parent can attach its own segments -- so results
   stay byte-identical no matter which path executed.
 """
@@ -46,20 +55,14 @@ import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Mapping
 
 try:
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - platforms without shm support
     _shared_memory = None
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 TRANSPORT_ENV = "REPRO_SHARD_TRANSPORT"
-CACHE_SIZE_ENV = "REPRO_WORKER_CACHE_SIZE"
 
 #: canonical transport names (no aliases).
 _TRANSPORT_CHOICES: dict[str, tuple[str, ...]] = {"shm": (), "pickle": ()}
@@ -68,15 +71,12 @@ _TRANSPORT_CHOICES: dict[str, tuple[str, ...]] = {"shm": (), "pickle": ()}
 #: chaos suite glob ``/dev/shm/repro_*``.
 SEGMENT_PREFIX = "repro_"
 
+#: entries each worker process keeps in its content-hash caches
+#: (decoded payloads here, netlists in the kernel, structural analyses).
+WORKER_CACHE_SIZE = 8
+
 _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 _counter = itertools.count()
-
-
-def default_cache_size() -> int:
-    """Worker-side payload/netlist cache bound (``REPRO_WORKER_CACHE_SIZE``)."""
-    from repro.knobs import env_int
-
-    return env_int(CACHE_SIZE_ENV, 8, minimum=1)
 
 
 def payload_nbytes(obj: Any) -> int:
@@ -160,6 +160,17 @@ class ObjectRef:
     handle: ShmHandle
 
 
+@dataclass(frozen=True)
+class Pickled:
+    """A :func:`shard_map` payload whose serialisation the caller has
+    already memoised: ``blob`` (keyed by ``digest``) is published as-is
+    under ``shm``, ``value`` ships inline under ``pickle``."""
+
+    value: Any
+    digest: str
+    blob: bytes
+
+
 _LIVE_PLANES: "set[PayloadPlane]" = set()
 _ATEXIT_INSTALLED = False
 
@@ -207,10 +218,12 @@ class PayloadPlane:
 
     def publish_array(self, arr) -> ShmHandle:
         """Publish a C-contiguous numpy array; workers map it zero-copy."""
-        arr = _np.ascontiguousarray(arr)
+        import numpy as np
+
+        arr = np.ascontiguousarray(arr)
         seg = self._create(arr.nbytes)
         if arr.nbytes:
-            view = _np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
+            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
             view[...] = arr
         return ShmHandle(seg.name, arr.nbytes, tuple(arr.shape),
                          arr.dtype.str)
@@ -224,6 +237,21 @@ class PayloadPlane:
         if digest is None:
             digest = hashlib.sha256(blob).hexdigest()
         return ObjectRef(digest, self.publish_bytes(blob))
+
+    def publish(self, value: Any) -> Any:
+        """The ref :func:`fetch` resolves back to ``value``: arrays map
+        zero-copy, :class:`Pickled` reuses its blob, ``None`` stays
+        inline, anything else becomes an :class:`ObjectRef`."""
+        import numpy as np
+
+        if value is None:
+            return None
+        if isinstance(value, Pickled):
+            return self.publish_object(None, blob=value.blob,
+                                       digest=value.digest)
+        if isinstance(value, np.ndarray):
+            return self.publish_array(value)
+        return self.publish_object(value)
 
     def close(self) -> None:
         """Close and unlink every published segment (idempotent)."""
@@ -260,7 +288,7 @@ _ATTACHED: "OrderedDict[str, Any]" = OrderedDict()
 _ATTACHED_LIMIT = 64
 
 #: decoded object payloads, digest -> object, bounded by
-#: ``REPRO_WORKER_CACHE_SIZE``.
+#: :data:`WORKER_CACHE_SIZE`.
 _OBJECTS: "OrderedDict[str, Any]" = OrderedDict()
 _STATS = {"object_hits": 0, "object_misses": 0}
 _LOCK = threading.Lock()
@@ -305,10 +333,12 @@ def attach_array(handle: ShmHandle):
     The view is only valid while the task that attached it runs; code
     must not stash it across tasks (eviction would invalidate it).
     """
+    import numpy as np
+
     with _LOCK:
         seg = _attach(handle.name)
-        return _np.ndarray(handle.shape, dtype=_np.dtype(handle.dtype),
-                           buffer=seg.buf)
+        return np.ndarray(handle.shape, dtype=np.dtype(handle.dtype),
+                          buffer=seg.buf)
 
 
 def fetch_object(ref: ObjectRef) -> Any:
@@ -324,10 +354,20 @@ def fetch_object(ref: ObjectRef) -> Any:
     with _LOCK:
         _STATS["object_misses"] += 1
         _OBJECTS[ref.digest] = obj
-        limit = default_cache_size()
-        while len(_OBJECTS) > limit:
+        while len(_OBJECTS) > WORKER_CACHE_SIZE:
             _OBJECTS.popitem(last=False)
     return obj
+
+
+def fetch(ref: Any) -> Any:
+    """The payload behind one :func:`shard_map` ref, whichever transport
+    carried it: an :class:`ObjectRef` (digest-cached unpickle), an array
+    :class:`ShmHandle` (zero-copy view), or an inline value (itself)."""
+    if isinstance(ref, ObjectRef):
+        return fetch_object(ref)
+    if isinstance(ref, ShmHandle):
+        return attach_array(ref)
+    return ref
 
 
 def worker_cache_stats() -> dict[str, int]:
@@ -335,3 +375,75 @@ def worker_cache_stats() -> dict[str, int]:
     with _LOCK:
         return dict(_STATS, objects=len(_OBJECTS),
                     attached=len(_ATTACHED))
+
+
+# ---------------------------------------------------------------------------
+# the dispatch helper
+
+def _run_shard(args) -> Any:
+    """Picklable trampoline: the shard's chaos checkpoint, then the
+    caller's worker on its slice."""
+    worker, label, index, refs, start, end = args
+    from repro.flow import chaos
+
+    chaos.checkpoint(f"{label}:{index}")
+    return worker(refs, start, end)
+
+
+def shard_map(
+    worker: Callable[[Mapping[str, Any], int, int], Any],
+    payloads: Mapping[str, Any],
+    n_items: int,
+    shards: int,
+    min_per_shard: int,
+    label: str,
+) -> list[Any]:
+    """Run ``worker(refs, start, end)`` over contiguous slices of
+    ``n_items`` items across a process pool; results in shard order.
+
+    The shard count is clamped so every shard gets at least
+    ``min_per_shard`` items (callers decide beforehand whether sharding
+    pays at all).  Each payload is published once on the resolved
+    transport; ``refs`` maps the same names to what :func:`fetch`
+    resolves.  ``worker`` must be picklable: a module-level function,
+    or a :func:`functools.partial` of one binding small constants.
+
+    Shard *i* passes the chaos checkpoint ``f"{label}:{i}"`` first.
+    Crashed, killed or hung shards are retried and then run in-process
+    (:func:`repro.flow.resilience.run_sharded`).  While a metrics
+    collector is open, ``payload_bytes`` (plus ``shm_bytes`` under
+    shm) and any ``shard_retries`` / ``shard_fallbacks`` /
+    ``shard_pool_rebuilds`` / ``shard_errors`` land in the current
+    stage's metrics.
+    """
+    from repro.flow.metrics import metrics_active, record_metric
+    from repro.flow.resilience import run_sharded
+
+    shards = max(1, min(shards, n_items // max(1, min_per_shard)))
+    bounds = [round(i * n_items / shards) for i in range(shards + 1)]
+    plane = PayloadPlane() if resolve_transport() == "shm" else None
+    try:
+        if plane is None:
+            refs = {name: v.value if isinstance(v, Pickled) else v
+                    for name, v in payloads.items()}
+        else:
+            refs = {name: plane.publish(v) for name, v in payloads.items()}
+        args = [(worker, label, i, refs, bounds[i], bounds[i + 1])
+                for i in range(shards)]
+        # Sizing pickles only when someone will see the number.
+        if metrics_active():
+            record_metric("payload_bytes",
+                          sum(payload_nbytes(a) for a in args))
+            if plane is not None:
+                record_metric("shm_bytes", plane.total_bytes)
+        results, info = run_sharded(_run_shard, args, max_workers=shards,
+                                    label=label)
+    finally:
+        if plane is not None:
+            plane.close()
+    info["shard_pool_rebuilds"] = info.pop("pool_rebuilds")
+    for name in ("shard_retries", "shard_fallbacks", "shard_pool_rebuilds",
+                 "shard_errors"):
+        if info[name]:
+            record_metric(name, info[name])
+    return results

@@ -11,13 +11,13 @@ backtrack budget, parallel-pattern fault simulation, and pseudorandom
 
 from repro.gatelevel.gates import Gate, Netlist, NetlistError
 from repro.gatelevel.simulate import simulate, parallel_simulate
-from repro.gatelevel.faults import Fault, all_faults, collapse_faults
+from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.fault_sim import (
     fault_simulate,
     detected_faults,
     resolve_backend,
 )
-from repro.gatelevel.kernel import CompiledNetlist, compiled, have_kernel
+from repro.gatelevel.kernel import CompiledNetlist, compiled
 from repro.gatelevel.expand import expand_datapath, expand_composite
 from repro.gatelevel.atpg import (
     combinational_atpg,
@@ -77,13 +77,11 @@ __all__ = [
     "parallel_simulate",
     "Fault",
     "all_faults",
-    "collapse_faults",
     "fault_simulate",
     "detected_faults",
     "resolve_backend",
     "CompiledNetlist",
     "compiled",
-    "have_kernel",
     "expand_datapath",
     "expand_composite",
     "combinational_atpg",

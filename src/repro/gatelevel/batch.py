@@ -44,14 +44,21 @@ from bisect import bisect_right
 from collections import OrderedDict
 from typing import Mapping, Sequence
 
+import numpy as _np
+
 from repro.flow.metrics import metrics_active, record_metric
 from repro.gatelevel.faults import Fault
 from repro.gatelevel.gates import Netlist
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+from repro.gatelevel.kernel import (
+    OP_BUF,
+    CompiledNetlist,
+    _Cone,
+    _FaultBatch,
+    _n_words,
+    compiled,
+    netlist_hash,
+    resolve_netlist,
+)
 
 BATCH_ENV = "REPRO_KERNEL_BATCH"
 WINDOW_ENV = "REPRO_SERVE_BATCH_WINDOW"
@@ -111,10 +118,6 @@ class FusedProgram:
     """
 
     def __init__(self, members: Sequence) -> None:
-        from repro.gatelevel.gates import NetlistError
-
-        if _np is None:  # pragma: no cover - guarded by have_kernel()
-            raise NetlistError("fused kernel requires numpy")
         self.members = list(members)
         self.netlist = None
         offsets: list[int] = []
@@ -257,8 +260,6 @@ class FusedProgram:
         c = self._cones.get(site)
         if c is not None:
             return c
-        from repro.gatelevel.kernel import _Cone
-
         k = bisect_right(self.offsets, site) - 1
         ofs = self.offsets[k]
         dofs = self.dff_offsets[k]
@@ -287,8 +288,6 @@ class FusedProgram:
         (and DFF-position) span its faults live in so ``_batch_cycle``
         can restrict scratch refresh and state propagation to it.
         """
-        from repro.gatelevel.kernel import OP_BUF, _n_words
-
         nw = _n_words(width)
         sites = [self.index[f.net] for f in faults]
         forced = [
@@ -373,8 +372,8 @@ class FusedProgram:
                 keep.append(sp)
         state = _np.tile(init, (1, len(faults))) if len(self.dff_rows) \
             else _np.zeros((0, len(faults) * nw), dtype=_np.uint64)
-        batch = _span_batch()(list(faults), sites, forced, site_dff,
-                              keep, levels, obs_out, obs_scan, state)
+        batch = _SpanFaultBatch(list(faults), sites, forced, site_dff,
+                                keep, levels, obs_out, obs_scan, state)
         batch.row_lo = row_lo
         batch.row_hi = row_hi
         batch.pos_lo = pos_lo
@@ -442,8 +441,6 @@ class FusedProgram:
 # ``self.netlist``.  ``cone``/``_make_batch``/``_batch_cycle`` are NOT
 # borrowed -- their span-aware overrides live in the class body above.
 def _borrow_kernel_methods() -> None:
-    from repro.gatelevel.kernel import CompiledNetlist
-
     for name in (
         "words_from_int", "int_from_words", "_mask_words", "_pi_matrix",
         "pack_pi_sequence", "_state_matrix", "_run_program", "good_cycle",
@@ -454,25 +451,13 @@ def _borrow_kernel_methods() -> None:
         setattr(FusedProgram, name, CompiledNetlist.__dict__[name])
 
 
-_SPAN_BATCH = None
+class _SpanFaultBatch(_FaultBatch):
+    """A fault batch tagged with its member design's row/fault spans."""
+
+    __slots__ = ("row_lo", "row_hi", "pos_lo", "pos_hi")
 
 
-def _span_batch():
-    """The span-tagged :class:`_FaultBatch` subclass (lazy: keeps the
-    kernel import out of this module's import time on no-numpy hosts)."""
-    global _SPAN_BATCH
-    if _SPAN_BATCH is None:
-        from repro.gatelevel.kernel import _FaultBatch
-
-        class _SpanFaultBatch(_FaultBatch):
-            __slots__ = ("row_lo", "row_hi", "pos_lo", "pos_hi")
-
-        _SPAN_BATCH = _SpanFaultBatch
-    return _SPAN_BATCH
-
-
-if _np is not None:
-    _borrow_kernel_methods()
+_borrow_kernel_methods()
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +472,10 @@ def fused_compiled(netlists: Sequence[Netlist]) -> FusedProgram:
     Keyed by the members' content digests (plus each netlist's
     mutation counter via :func:`repro.gatelevel.kernel.netlist_blob`'s
     memo), so a warm worker that has seen a corpus re-fuses nothing.
-    Bounded by ``REPRO_WORKER_CACHE_SIZE`` like the kernel's own
-    netlist registry.
+    Bounded by :data:`repro.flow.shm.WORKER_CACHE_SIZE` like the
+    kernel's own netlist registry.
     """
-    from repro.flow.shm import default_cache_size
-    from repro.gatelevel.kernel import compiled, netlist_hash
+    from repro.flow import shm
 
     key = tuple(netlist_hash(nl) for nl in netlists)
     hit = _FUSED.get(key)
@@ -500,8 +484,7 @@ def fused_compiled(netlists: Sequence[Netlist]) -> FusedProgram:
         return hit
     fused = FusedProgram([compiled(nl) for nl in netlists])
     _FUSED[key] = fused
-    limit = default_cache_size()
-    while len(_FUSED) > limit:
+    while len(_FUSED) > shm.WORKER_CACHE_SIZE:
         _FUSED.popitem(last=False)
     return fused
 
@@ -591,12 +574,6 @@ class MaskJob:
 # fused fault simulation
 
 
-def _use_fused(backend: str, batch: bool) -> bool:
-    from repro.gatelevel.kernel import have_kernel
-
-    return batch and backend == "kernel" and have_kernel()
-
-
 def fault_simulate_many(
     jobs: Sequence[SimJob],
     backend: str | None = None,
@@ -652,7 +629,7 @@ def fault_simulate_many(
             return [cm.expand(r, list(j.faults))
                     for cm, r, j in zip(cmaps, res, jobs)]
 
-    if not _use_fused(backend, batch) or len(jobs) == 1:
+    if not (batch and backend == "kernel") or len(jobs) == 1:
         return [_serial_sim(j, backend, shards) for j in jobs]
 
     # Group compatible jobs; incompatible signatures never fuse
@@ -730,23 +707,14 @@ def _fused_sim(group: Sequence[SimJob]) -> list[dict[Fault, int | None]]:
     return out
 
 
-def _batch_shard_worker(args):
+def _batch_shard_worker(refs, start, end):
     """One contiguous job chunk of a fused group, re-fused in-worker."""
-    shard_index, payload, refs = args
-    from repro.flow import chaos, shm
-    from repro.gatelevel.kernel import resolve_netlist
+    from repro.flow.shm import fetch
 
-    chaos.checkpoint(f"batch_shard:{shard_index}")
-    if refs is not None:
-        payload = shm.fetch_object(payload)
     chunk = []
-    for digest, faults, seq, width, state, drop in payload:
-        ref = refs[digest] if refs is not None else None
-        netlist = resolve_netlist(
-            digest,
-            (lambda r=ref: shm.attach_bytes(r.handle)) if ref is not None
-            else None,
-        )
+    for digest, faults, seq, width, state, drop in \
+            fetch(refs["jobs"])[start:end]:
+        netlist = resolve_netlist(digest, lambda d=digest: fetch(refs[d]))
         chunk.append(SimJob(netlist, faults, seq, width, state, drop))
     return fault_simulate_many(
         chunk, backend="kernel", shards=1, batch=True, collapse=False,
@@ -755,88 +723,30 @@ def _batch_shard_worker(args):
 
 def _fused_sim_sharded(group: Sequence[SimJob],
                        shards: int) -> list[dict[Fault, int | None]]:
-    """Contiguous job partition across workers, shm-first transport.
+    """Contiguous job partition across workers.
 
-    Member netlists are published once, keyed by content digest, so a
-    warm worker resolves them from its hash cache without touching the
-    segment; each worker fuses its own chunk (and caches the fused
-    program by digest tuple), then the results merge positionally —
+    Member netlists are published once through
+    :func:`repro.flow.shard_map`, keyed by content digest, so a warm
+    worker resolves them from its hash cache without fetching the body;
+    each worker fuses its own chunk (and caches the fused program by
+    digest tuple), then the results merge positionally —
     byte-identical to the unsharded fused run, which is itself
     byte-identical to per-design serial runs.
     """
-    from repro.flow import shm
-    from repro.flow.resilience import run_sharded
+    from repro.flow.shm import Pickled, shard_map
     from repro.gatelevel import kernel
-    from repro.gatelevel.fault_sim import (
-        _record_payload_bytes,
-        _record_shard_info,
-    )
 
-    shards = min(shards, len(group))
-    bounds = [round(i * len(group) / shards) for i in range(shards + 1)]
-    parts = [group[bounds[i]:bounds[i + 1]] for i in range(shards)]
-
-    def encode(job: SimJob) -> tuple:
-        digest = kernel.netlist_hash(job.netlist)
-        return (digest, job.faults, job.pi_sequence, job.width,
-                job.initial_state, job.drop_detected)
-
-    if shm.resolve_transport() == "shm":
-        with shm.PayloadPlane() as plane:
-            refs: dict[str, object] = {}
-            for job in group:
-                digest, blob = kernel.netlist_blob(job.netlist)
-                if digest not in refs:
-                    refs[digest] = plane.publish_object(
-                        None, blob=blob, digest=digest
-                    )
-            args = [
-                (i, plane.publish_object([encode(j) for j in part]),
-                 {e[0]: refs[e[0]]
-                  for e in map(encode, part)})
-                for i, part in enumerate(parts)
-            ]
-            _record_payload_bytes(args, plane)
-            results, info = run_sharded(
-                _batch_shard_worker, args, max_workers=shards,
-                label="batch_shard",
-            )
-    else:
-        # classic pickle transport: the netlist body crosses the pipe
-        # with the job; resolve_netlist still dedups decode in-worker.
-        args = [
-            (i, [
-                (j.netlist, j.faults, j.pi_sequence, j.width,
-                 j.initial_state, j.drop_detected)
-                for j in part
-            ], None)
-            for i, part in enumerate(parts)
-        ]
-        _record_payload_bytes(args, None)
-        results, info = run_sharded(
-            _batch_shard_worker_pickle, args, max_workers=shards,
-            label="batch_shard",
+    payloads: dict[str, object] = {"jobs": []}
+    for job in group:
+        digest, blob = kernel.netlist_blob(job.netlist)
+        payloads.setdefault(digest, Pickled(job.netlist, digest, blob))
+        payloads["jobs"].append(
+            (digest, job.faults, job.pi_sequence, job.width,
+             job.initial_state, job.drop_detected)
         )
-    _record_shard_info(info)
-    out: list[dict[Fault, int | None]] = []
-    for res in results:
-        out.extend(res)
-    return out
-
-
-def _batch_shard_worker_pickle(args):
-    shard_index, payload, _refs = args
-    from repro.flow import chaos
-    from repro.gatelevel.kernel import netlist_hash, resolve_netlist
-
-    chaos.checkpoint(f"batch_shard:{shard_index}")
-    chunk = []
-    for netlist, faults, seq, width, state, drop in payload:
-        netlist = resolve_netlist(netlist_hash(netlist), netlist)
-        chunk.append(SimJob(netlist, faults, seq, width, state, drop))
-    return fault_simulate_many(
-        chunk, backend="kernel", shards=1, batch=True, collapse=False,
-    )
+    results = shard_map(_batch_shard_worker, payloads, len(group),
+                        shards, 1, "batch_shard")
+    return [res for part in results for res in part]
 
 
 # ---------------------------------------------------------------------------
@@ -850,12 +760,10 @@ def detect_masks_many(
     """Per-design detect masks; byte-identical to serial
     ``compiled(nl).detect_masks`` calls.  Kernel-only (the mask path
     has no interpreter twin); jobs group by width."""
-    from repro.gatelevel.kernel import compiled
-
     jobs = list(jobs)
     if not jobs:
         return []
-    if not _use_fused("kernel", resolve_batch(batch)) or len(jobs) == 1:
+    if not resolve_batch(batch) or len(jobs) == 1:
         return [
             compiled(j.netlist).detect_masks(
                 j.faults, j.pi_values, j.state, j.width
@@ -910,7 +818,7 @@ def sequential_detect_many(
     jobs = list(jobs)
     if not jobs:
         return []
-    if not _use_fused("kernel", resolve_batch(batch)) or len(jobs) == 1:
+    if not resolve_batch(batch) or len(jobs) == 1:
         return [_serial_seq(j) for j in jobs]
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, j in enumerate(jobs):
@@ -951,8 +859,6 @@ def sequential_detect_many(
 
 
 def _serial_seq(job: SeqJob) -> dict[Fault, int | None]:
-    from repro.gatelevel.kernel import compiled
-
     return compiled(job.netlist).sequential_fault_detect(
         job.faults, job.pi_values, list(job.checkpoints), job.observe,
         forced=job.forced, initial_state=job.initial_state,
@@ -1010,7 +916,8 @@ def bist_attribution_many(
             return [cm.expand(r, f)
                     for cm, r, (_hw, _s, f) in zip(cmaps, res, items)]
 
-    if not _use_fused(backend, resolve_batch(batch)) or len(items) == 1:
+    if not (resolve_batch(batch) and backend == "kernel") \
+            or len(items) == 1:
         return [
             bist_fault_attribution(
                 hw, sessions=sessions, cycles=cycles, faults=faults,

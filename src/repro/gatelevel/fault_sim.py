@@ -9,8 +9,8 @@ Two engines produce bit-identical results:
 * the **compiled kernel** (:mod:`repro.gatelevel.kernel`): levelized
   numpy program, arbitrary word width, cone-restricted faulty
   evaluation — the default;
-* the **reference interpreter** below: per-gate dict walk, kept for
-  equivalence checking and numpy-free environments.
+* the **reference interpreter** below: per-gate dict walk, kept as
+  the equivalence oracle.
 
 Select with ``backend=`` (``"kernel"`` / ``"interp"``) or the
 ``REPRO_FAULTSIM_BACKEND`` environment variable.  ``shards=`` (or
@@ -21,6 +21,7 @@ processes; the merged result is byte-identical to a serial run.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Mapping, Sequence
 
 from repro.flow.metrics import record_metric
@@ -53,16 +54,11 @@ def resolve_backend(backend: str | None = None) -> str:
     :class:`repro.knobs.KnobError` naming the knob, instead of a bare
     ``ValueError`` deep inside a worker process.
     """
-    from repro.gatelevel import kernel
     from repro.knobs import env_choice, normalize_choice
 
     if backend is None:
-        backend = env_choice(BACKEND_ENV, "kernel", _BACKEND_CHOICES)
-    else:
-        backend = normalize_choice(backend, "backend", _BACKEND_CHOICES)
-    if backend == "interp":
-        return "interp"
-    return "kernel" if kernel.have_kernel() else "interp"
+        return env_choice(BACKEND_ENV, "kernel", _BACKEND_CHOICES)
+    return normalize_choice(backend, "backend", _BACKEND_CHOICES)
 
 
 def resolve_shards(shards: int | None = None) -> int:
@@ -195,14 +191,15 @@ def _record_pps(pattern_cycles: int, seconds: float, shard: int | None = None) -
 # ---------------------------------------------------------------------------
 # fault-parallel sharding
 
-def _encode_fault_block(netlist: Netlist, faults: Sequence[Fault]):
-    """Faults as an ``(n, 2)`` int64 array of (topo row, stuck value).
+def _fault_block(netlist: Netlist, faults: Sequence[Fault]) -> dict:
+    """Faults as :func:`repro.flow.shard_map` payloads.
 
+    ``faults`` is an ``(n, 2)`` int64 array of (topo row, stuck value).
     The topo index is content-determined, so a worker decoding against
     its own (or a hash-cached) copy of the netlist reconstructs exactly
     the caller's fault list.  Faults on unknown nets (legal: they read
-    as undetectable) cannot be row-encoded and come back positionally
-    in ``extras``.
+    as undetectable) cannot be row-encoded and travel positionally in
+    ``extras`` (``None`` when there are none).
     """
     import numpy as np
 
@@ -215,15 +212,16 @@ def _encode_fault_block(netlist: Netlist, faults: Sequence[Fault]):
         arr[pos, 1] = f.stuck_at
         if row < 0:
             extras[pos] = f
-    return arr, extras
+    return {"faults": arr, "extras": extras or None}
 
 
-def _decode_fault_block(netlist: Netlist, block) -> list[Fault]:
-    """Inverse of :func:`_encode_fault_block` for one shard's slice."""
-    from repro.flow import shm
+def _decode_fault_block(netlist: Netlist, refs, start: int,
+                        end: int) -> list[Fault]:
+    """Inverse of :func:`_fault_block` for one shard's slice."""
+    from repro.flow.shm import fetch
 
-    handle, start, end, extras = block
-    arr = shm.attach_array(handle)
+    arr = fetch(refs["faults"])
+    extras = fetch(refs["extras"]) or {}
     names = netlist.topo_order()
     out: list[Fault] = []
     for pos in range(start, end):
@@ -235,64 +233,34 @@ def _decode_fault_block(netlist: Netlist, block) -> list[Fault]:
     return out
 
 
-def _shard_worker(args):
-    (shard_index, digest, netlist, chunk, pi_sequence, width,
-     initial_state, drop_detected, backend) = args
-    from repro.flow import chaos
-    from repro.gatelevel.kernel import resolve_netlist
-
-    chaos.checkpoint(f"faultsim_shard:{shard_index}")
-    # The pickle transport ships the body every task, but the hash
-    # cache still deduplicates the *compiled* program across tasks in a
-    # warm worker (the shipped copy is dropped on a hit).
-    netlist = resolve_netlist(digest, netlist)
-    t0 = time.perf_counter()
-    # collapse=False: the parent collapsed before sharding, so the
-    # chunk already holds representatives only.
-    res = fault_simulate_cycles(
-        netlist, chunk, pi_sequence, width=width,
-        initial_state=initial_state, drop_detected=drop_detected,
-        backend=backend, shards=1, collapse=False,
-    )
-    work = sum(
-        width * (len(pi_sequence) if c is None else c + 1)
-        for c in res.values()
-    )
-    return res, work, time.perf_counter() - t0
-
-
-def _shard_worker_shm(args):
-    (shard_index, digest, net_ref, fault_block, pi_ref, width,
-     state_ref, drop_detected, backend) = args
-    from repro.flow import chaos, shm
+def _shard_worker(digest, width, drop_detected, backend, refs, start, end):
+    from repro.flow.shm import fetch
     from repro.gatelevel.kernel import compiled, resolve_netlist
 
-    chaos.checkpoint(f"faultsim_shard:{shard_index}")
-    netlist = resolve_netlist(
-        digest, lambda: shm.attach_bytes(net_ref.handle)
-    )
-    chunk = (_decode_fault_block(netlist, fault_block)
-             if isinstance(fault_block, tuple)
-             else shm.fetch_object(fault_block))
-    initial_state = shm.fetch_object(state_ref) if state_ref else None
+    # A warm worker resolves the netlist from its hash cache without
+    # fetching the body (and reuses its compiled program).
+    netlist = resolve_netlist(digest, lambda: fetch(refs["netlist"]))
+    chunk = _decode_fault_block(netlist, refs, start, end)
+    initial_state = fetch(refs["state"])
+    patterns = fetch(refs["patterns"])
     t0 = time.perf_counter()
-    if backend == "kernel" and isinstance(pi_ref, shm.ShmHandle):
+    if backend == "kernel":
         comp = compiled(netlist)
         res = comp.fault_simulate_cycles(
             chunk, None, width=width, initial_state=initial_state,
-            drop_detected=drop_detected,
-            pi_words=shm.attach_array(pi_ref),
+            drop_detected=drop_detected, pi_words=patterns,
         )
         work = comp._pattern_cycles
     else:
-        pi_sequence = shm.fetch_object(pi_ref)
+        # collapse=False: the parent collapsed before sharding, so the
+        # chunk already holds representatives only.
         res = fault_simulate_cycles(
-            netlist, chunk, pi_sequence, width=width,
+            netlist, chunk, patterns, width=width,
             initial_state=initial_state, drop_detected=drop_detected,
             backend=backend, shards=1, collapse=False,
         )
         work = sum(
-            width * (len(pi_sequence) if c is None else c + 1)
+            width * (len(patterns) if c is None else c + 1)
             for c in res.values()
         )
     return res, work, time.perf_counter() - t0
@@ -313,112 +281,37 @@ def _fault_simulate_sharded(
     Faults are partitioned into contiguous chunks (fault independence
     makes any partition exact, contiguity keeps each shard's locality);
     the merged dict is rebuilt in the caller's fault order, so a sharded
-    run is byte-identical to a serial one.
-
-    Payloads travel over the transport picked by
-    :func:`repro.flow.shm.resolve_transport` (``REPRO_SHARD_TRANSPORT``):
-    under ``shm`` the netlist body, the packed pattern words, and the
-    fault index array are published once in shared memory and each
-    shard's args are a few hundred bytes of references; under ``pickle``
-    every shard ships the full payload through the pool pipe (the
-    historical path, kept as baseline and fallback).  Results are
-    byte-identical across transports and shard counts.
-
-    Runs on :func:`repro.flow.resilience.run_sharded`: a shard whose
-    worker crashes or dies is retried once in a fresh pool and then
-    executed in-process, so worker loss degrades throughput, never the
-    result.  Fallbacks are visible as the ``shard_fallbacks`` /
-    ``shard_pool_rebuilds`` flow metrics.
+    run is byte-identical to a serial one.  The netlist, the encoded
+    fault block and the patterns (packed to kernel words on the kernel
+    backend) are published once through :func:`repro.flow.shard_map`,
+    which also makes worker loss cost throughput, never the result.
     """
-    from repro.flow import shm
-    from repro.flow.resilience import run_sharded
+    from repro.flow.shm import Pickled, shard_map
     from repro.gatelevel import kernel
 
-    shards = min(shards, max(1, len(faults) // MIN_FAULTS_PER_SHARD))
-    if shards <= 1:
-        return fault_simulate_cycles(
-            netlist, faults, pi_sequence, width=width,
-            initial_state=initial_state, drop_detected=drop_detected,
-            backend=backend, shards=1, collapse=False,
-        )
-    bounds = [round(i * len(faults) / shards) for i in range(shards + 1)]
-    chunks = [list(faults[bounds[i]:bounds[i + 1]]) for i in range(shards)]
-    state = dict(initial_state) if initial_state else None
-    transport = shm.resolve_transport()
     digest, blob = kernel.netlist_blob(netlist)
-    merged: dict[Fault, int | None] = {}
-    if transport == "shm":
-        with shm.PayloadPlane() as plane:
-            net_ref = plane.publish_object(None, blob=blob,
-                                           digest=digest)
-            if kernel.have_kernel():
-                arr, extras = _encode_fault_block(netlist, list(faults))
-                fh = plane.publish_array(arr)
-                blocks = [
-                    (fh, bounds[i], bounds[i + 1],
-                     {p: f for p, f in extras.items()
-                      if bounds[i] <= p < bounds[i + 1]})
-                    for i in range(shards)
-                ]
-            else:
-                blocks = [plane.publish_object(c) for c in chunks]
-            if backend == "kernel":
-                pi_ref = plane.publish_array(
-                    kernel.compiled(netlist).pack_pi_sequence(
-                        list(pi_sequence), width
-                    )
-                )
-            else:
-                pi_ref = plane.publish_object(list(pi_sequence))
-            state_ref = plane.publish_object(state) if state else None
-            args = [
-                (i, digest, net_ref, blocks[i], pi_ref, width,
-                 state_ref, drop_detected, backend)
-                for i in range(shards)
-            ]
-            _record_payload_bytes(args, plane)
-            results, info = run_sharded(
-                _shard_worker_shm, args, max_workers=shards,
-                label="faultsim_shard",
-            )
-    else:
-        args = [(i, digest, netlist, chunk, list(pi_sequence), width,
-                 state, drop_detected, backend)
-                for i, chunk in enumerate(chunks)]
-        _record_payload_bytes(args, None)
-        results, info = run_sharded(
-            _shard_worker, args, max_workers=shards,
-            label="faultsim_shard",
+    if backend == "kernel":
+        patterns = kernel.compiled(netlist).pack_pi_sequence(
+            list(pi_sequence), width
         )
+    else:
+        patterns = list(pi_sequence)
+    payloads = {
+        "netlist": Pickled(netlist, digest, blob),
+        "patterns": patterns,
+        "state": dict(initial_state) if initial_state else None,
+        **_fault_block(netlist, faults),
+    }
+    results = shard_map(
+        partial(_shard_worker, digest, width, drop_detected, backend),
+        payloads, len(faults), shards, MIN_FAULTS_PER_SHARD,
+        "faultsim_shard",
+    )
+    merged: dict[Fault, int | None] = {}
     for i, (res, work, secs) in enumerate(results):
         _record_pps(work, secs, shard=i)
         merged.update(res)
-    _record_shard_info(info)
     return {f: merged[f] for f in faults}
-
-
-def _record_payload_bytes(args: Sequence, plane) -> None:
-    """Surface dispatch cost (bytes through the pool pipe) in flow
-    metrics -- skipped when no collector is open, so the sizing pickle
-    never taxes bare library calls."""
-    from repro.flow.metrics import metrics_active
-    from repro.flow.shm import payload_nbytes
-
-    if not metrics_active():
-        return
-    record_metric("payload_bytes",
-                  sum(payload_nbytes(a) for a in args))
-    if plane is not None:
-        record_metric("shm_bytes", plane.total_bytes)
-
-
-def _record_shard_info(info: Mapping[str, int]) -> None:
-    """Surface shard-recovery events in the current flow metrics."""
-    for name in ("shard_retries", "shard_fallbacks", "pool_rebuilds",
-                 "shard_errors"):
-        if info.get(name):
-            key = "shard_pool_rebuilds" if name == "pool_rebuilds" else name
-            record_metric(key, info[name])
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,6 @@ Results are bit-identical to the interpreter (property-tested in
 ``tests/test_kernel_equivalence.py``): stuck-at forcing applies after a
 net evaluates, scan flip-flops observe each cycle and reload from the
 good machine, and a fault on a scan FF keeps corrupting its own state.
-
-The kernel degrades gracefully: when numpy is unavailable,
-:func:`have_kernel` is False and callers fall back to the interpreter.
 """
 
 from __future__ import annotations
@@ -45,18 +42,10 @@ from collections import OrderedDict
 from typing import Mapping, Sequence
 from weakref import WeakKeyDictionary
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from repro.gatelevel.faults import Fault
 from repro.gatelevel.gates import COMBINATIONAL_KINDS, Netlist, NetlistError
-
-
-def have_kernel() -> bool:
-    """True when the compiled kernel can run (numpy importable)."""
-    return _np is not None
 
 
 # Opcodes.  Sources first, then unary, then the binary/ternary ops.
@@ -132,8 +121,6 @@ class CompiledNetlist:
     """A :class:`Netlist` levelized into a flat numpy program."""
 
     def __init__(self, netlist: Netlist) -> None:
-        if _np is None:
-            raise NetlistError("compiled kernel requires numpy")
         # Fail on malformed structure here, with a NetlistError naming
         # the offending net, rather than as a numpy shape error three
         # layers down in the levelized program.
@@ -982,12 +969,11 @@ def netlist_hash(netlist: Netlist) -> str:
 def resolve_netlist(digest: str, payload) -> Netlist:
     """The process-local netlist for ``digest``, decoding at most once.
 
-    ``payload`` supplies the body on a cache miss: a :class:`Netlist`
-    (classic pickle transport -- it already crossed the pipe), raw
-    pickled ``bytes``, or a zero-argument callable returning either
-    (the shm transport's lazy fetch, so a warm worker never touches the
-    segment on a hit).  The registry is a bounded LRU
-    (``REPRO_WORKER_CACHE_SIZE``).
+    ``payload`` supplies the body on a cache miss: a :class:`Netlist`,
+    raw pickled ``bytes``, or a zero-argument callable returning either
+    (a shard worker's lazy :func:`repro.flow.shm.fetch`, so a warm
+    worker never fetches the body on a hit).  The registry is a bounded
+    LRU (:data:`repro.flow.shm.WORKER_CACHE_SIZE` entries).
     """
     hit = _BY_HASH.get(digest)
     if hit is not None:
@@ -1004,10 +990,9 @@ def resolve_netlist(digest: str, payload) -> Netlist:
             f"no cached netlist for {digest[:12]} and no body provided"
         )
     _BY_HASH[digest] = payload
-    from repro.flow.shm import default_cache_size
+    from repro.flow import shm
 
-    limit = default_cache_size()
-    while len(_BY_HASH) > limit:
+    while len(_BY_HASH) > shm.WORKER_CACHE_SIZE:
         _BY_HASH.popitem(last=False)
         _HASH_STATS["evictions"] += 1
     return payload

@@ -6,13 +6,14 @@ them:
 
 * **SCOAP testability measures** -- 0/1-controllability (``CC0`` /
   ``CC1``) and observability (``CO``) per net, Goldstein's rules over
-  the levelized schedule.  On the numpy kernel the whole pass is a
-  handful of vectorized sweeps over the compiled ``(level, opcode)``
-  program groups; a pure-Python walk over the topo order produces the
-  identical numbers when numpy is absent.  Non-scan flip-flops are
-  handled by bounded fixpoint iteration (controllability flows forward
-  through the D pin at +1 per time frame, observability backward), so
-  feedback loops converge to the capped sentinel instead of diverging.
+  the levelized schedule.  The whole pass is a handful of vectorized
+  sweeps over the compiled ``(level, opcode)`` program groups; a
+  pure-Python walk over the topo order (``_scoap_python``) produces
+  the identical numbers and is kept as the reference.  Non-scan
+  flip-flops are handled by bounded fixpoint iteration
+  (controllability flows forward through the D pin at +1 per time
+  frame, observability backward), so feedback loops converge to the
+  capped sentinel instead of diverging.
 
 * **Structural fault collapsing** -- equivalence classes over the stem
   (gate-output-net) fault universe.  A fault on net ``a`` whose *only*
@@ -533,7 +534,7 @@ def structural_analysis(netlist: Netlist) -> Structure:
     in a warm worker -- or republished by the serve layer -- are
     analysed exactly once per process.
     """
-    from repro.gatelevel.kernel import have_kernel, netlist_hash
+    from repro.gatelevel.kernel import netlist_hash
 
     sig = (netlist.version, tuple(netlist.outputs))
     hit = _ANALYSES.get(netlist)
@@ -547,10 +548,7 @@ def structural_analysis(netlist: Netlist) -> Structure:
         _STATS["hash_hits"] += 1
         _ANALYSES[netlist] = (sig, cached)
         return cached
-    if have_kernel():
-        cc0, cc1, co = _scoap_numpy(netlist)
-    else:
-        cc0, cc1, co = _scoap_python(netlist)
+    cc0, cc1, co = _scoap_numpy(netlist)
     struct = Structure(digest, cc0, cc1, co,
                        _build_collapse_map(netlist))
     _STATS["built"] += 1
@@ -560,12 +558,11 @@ def structural_analysis(netlist: Netlist) -> Structure:
 
 
 def _remember(digest: str, struct: Structure) -> None:
-    from repro.flow.shm import default_cache_size
+    from repro.flow import shm
 
     _STRUCT_BY_HASH[digest] = struct
     _STRUCT_BY_HASH.move_to_end(digest)
-    limit = default_cache_size()
-    while len(_STRUCT_BY_HASH) > limit:
+    while len(_STRUCT_BY_HASH) > shm.WORKER_CACHE_SIZE:
         _STRUCT_BY_HASH.popitem(last=False)
         _STATS["evictions"] += 1
 
@@ -601,7 +598,7 @@ def atpg_fault_order(
 def pack_scoap(structure: Structure, netlist: Netlist):
     """``(n, 3)`` int64 ``[CC0, CC1, CO]`` rows in topo order.
 
-    The shm-publishable form: topo row indices are content-determined,
+    The shard-payload form: topo row indices are content-determined,
     so a worker holding the hash-cached netlist rebuilds the exact
     name-keyed measures without recomputing a single pass.
     """
@@ -616,15 +613,14 @@ def pack_scoap(structure: Structure, netlist: Netlist):
     return arr
 
 
-def resolve_structure(digest: str, payload, netlist: Netlist) -> Structure:
+def resolve_structure(digest: str, fetch_rows,
+                      netlist: Netlist) -> Structure:
     """Worker-side :class:`Structure` for ``digest``, decoding at most
     once per process.
 
-    ``payload`` supplies the packed SCOAP rows on a cache miss: an
-    ``(n, 3)`` array, a zero-argument callable returning one (the shm
-    transport's lazy attach), or ``None`` to recompute locally (pickle
-    transport -- the analysis is deterministic, so the recompute is
-    byte-identical to the parent's copy).
+    ``fetch_rows`` returns the parent's packed SCOAP rows (an
+    ``(n, 3)`` array, see :func:`pack_scoap`) and is only called on a
+    cache miss.
     """
     cached = _STRUCT_BY_HASH.get(digest)
     if cached is not None:
@@ -632,14 +628,11 @@ def resolve_structure(digest: str, payload, netlist: Netlist) -> Structure:
         _STATS["resolve_hits"] += 1
         return cached
     _STATS["resolve_misses"] += 1
-    if callable(payload):
-        payload = payload()
-    if payload is None:
-        return structural_analysis(netlist)
+    rows = fetch_rows()
     order = netlist.topo_order()
-    cc0 = {n: int(payload[i, 0]) for i, n in enumerate(order)}
-    cc1 = {n: int(payload[i, 1]) for i, n in enumerate(order)}
-    co = {n: int(payload[i, 2]) for i, n in enumerate(order)}
+    cc0 = {n: int(rows[i, 0]) for i, n in enumerate(order)}
+    cc1 = {n: int(rows[i, 1]) for i, n in enumerate(order)}
+    co = {n: int(rows[i, 2]) for i, n in enumerate(order)}
     struct = Structure(digest, cc0, cc1, co,
                        _build_collapse_map(netlist))
     _remember(digest, struct)

@@ -96,12 +96,6 @@ KNOWN_KNOBS: dict[str, tuple[str, str, str]] = {
         "group runs as one fused kernel invocation (0 disables "
         "coalescing)",
     ),
-    "REPRO_WORKER_CACHE_SIZE": (
-        "int >= 1", "8",
-        "netlists and decoded shard payloads each worker process keeps "
-        "cached by content hash (a warm worker compiles each design "
-        "once per pool generation)",
-    ),
     "REPRO_FLOWCACHE": (
         "path", ".flowcache",
         "flow artifact cache directory",

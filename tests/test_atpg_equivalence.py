@@ -27,7 +27,6 @@ from repro.gatelevel.atpg import (
 from repro.gatelevel.fault_sim import fault_simulate
 from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.gates import Netlist
-from repro.gatelevel.kernel import have_kernel
 from repro.gatelevel.seq_atpg import sequential_atpg
 from repro.gatelevel.test_generation import (
     TestSet,
@@ -144,12 +143,11 @@ class TestShardedGeneration:
             fullscan_nl, faults=faults, backend="interp",
             atpg_backend="reference",
         )
-        if have_kernel():
-            acc = generate_tests(
-                fullscan_nl, faults=faults, backend="kernel",
-                atpg_backend="event",
-            )
-            assert _same_testset(ref, acc)
+        acc = generate_tests(
+            fullscan_nl, faults=faults, backend="kernel",
+            atpg_backend="event",
+        )
+        assert _same_testset(ref, acc)
 
     def test_shard_resolution(self, monkeypatch):
         assert resolve_atpg_shards(3) == 3

@@ -38,13 +38,9 @@ from repro.gatelevel.bist_session import (
 )
 from repro.gatelevel.fault_sim import fault_simulate_cycles
 from repro.gatelevel.faults import all_faults
-from repro.gatelevel.kernel import compiled, have_kernel
+from repro.gatelevel.kernel import compiled
 from repro.knobs import KnobError
 from tests.test_kernel_equivalence import _sequence, netlists
-
-pytestmark = pytest.mark.skipif(
-    not have_kernel(), reason="fused kernel needs numpy"
-)
 
 
 @st.composite

@@ -22,7 +22,7 @@ from repro.gatelevel.fault_sim import (
 )
 from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.gates import Netlist
-from repro.gatelevel.kernel import compiled, have_kernel
+from repro.gatelevel.kernel import compiled
 from repro.gatelevel.simulate import parallel_simulate
 from repro.gatelevel.transition_faults import (
     _transition_pair_masks_interp,
@@ -30,9 +30,6 @@ from repro.gatelevel.transition_faults import (
     transition_pair_masks,
 )
 
-pytestmark = pytest.mark.skipif(
-    not have_kernel(), reason="kernel backend needs numpy"
-)
 
 _KINDS = ["and", "or", "nand", "nor", "xor", "xnor", "buf", "not", "mux"]
 _ARITY = {"buf": 1, "not": 1, "mux": 3}

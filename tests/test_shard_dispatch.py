@@ -70,7 +70,8 @@ class TestPayloadPlane:
         assert _no_repro_segments()
 
     def test_array_roundtrip_zero_copy(self):
-        np = pytest.importorskip("numpy")
+        import numpy as np
+
         arr = np.arange(24, dtype=np.uint64).reshape(4, 6)
         with shm.PayloadPlane() as plane:
             h = plane.publish_array(arr)
@@ -119,7 +120,7 @@ class TestNetlistHash:
         assert kernel.netlist_hash(nl) != before
 
     def test_resolve_netlist_caches_and_evicts(self, monkeypatch):
-        monkeypatch.setenv(shm.CACHE_SIZE_ENV, "2")
+        monkeypatch.setattr(shm, "WORKER_CACHE_SIZE", 2)
         kernel._BY_HASH.clear()
         designs = [genscale.generate_netlist(40, seed=s)
                    for s in range(3)]
@@ -236,6 +237,60 @@ def _leak_guard():
     assert _no_repro_segments(), "leaked repro_* shared-memory segments"
 
 
+# -- the four sharded callers, each as ``run(shards) -> comparable`` -------
+
+def _run_fault_sim(shards):
+    nl = genscale.generate_netlist(150, seed=21)
+    faults = all_faults(nl)[:48]
+    seq = _sequence(nl, width=8, n_cycles=3)
+    res = fault_sim.fault_simulate_cycles(
+        nl, faults, seq, width=8, shards=shards, backend="kernel",
+    )
+    return list(res.items())
+
+
+def _run_generate_tests(shards):
+    from repro.gatelevel.test_generation import generate_tests
+
+    nl = genscale.generate_netlist(150, seed=22)
+    ts = generate_tests(nl, faults=all_faults(nl)[:80], predrop=0,
+                        shards=shards, guidance=True)
+    return (ts.vectors, ts.partial_vectors, sorted(ts.detected),
+            ts.untestable, ts.aborted, ts.total_faults)
+
+
+def _run_bist_attribution(shards):
+    from repro.gatelevel.bist_session import bist_fault_attribution
+
+    nl = genscale.generate_netlist(150, seed=23, signature_bits=8)
+    res = bist_fault_attribution(
+        genscale.bist_wrap(nl), sessions=[["u0"]], cycles=12,
+        faults=genscale.sample_faults(nl, 48, seed=1), shards=shards,
+    )
+    return list(res.items())
+
+
+def _run_fused_many(shards):
+    from repro.gatelevel.batch import SimJob, fault_simulate_many
+
+    jobs = []
+    for seed in range(4):
+        nl = genscale.generate_netlist(60, seed=30 + seed)
+        jobs.append(SimJob(nl, all_faults(nl)[:12],
+                           _sequence(nl, width=8, n_cycles=2), width=8))
+    res = fault_simulate_many(jobs, backend="kernel", shards=shards,
+                              batch=True)
+    return [list(r.items()) for r in res]
+
+
+SHARDED_CALLERS = {
+    "fault_simulate_cycles": _run_fault_sim,
+    "generate_tests": _run_generate_tests,
+    "bist_fault_attribution": _run_bist_attribution,
+    "fault_simulate_many": _run_fused_many,
+}
+
+
 # -- transport equivalence on random designs -------------------------------
 
 @pytest.fixture(scope="class")
@@ -281,6 +336,60 @@ class TestTransportEquivalence:
         assert got["pickle"] == serial
         assert got["shm"] == serial
         assert list(got["shm"]) == list(serial)
+
+    @pytest.mark.parametrize("transport", ["shm", "pickle"])
+    @pytest.mark.parametrize("caller", sorted(SHARDED_CALLERS))
+    def test_every_sharded_caller_matches_serial(
+        self, eq_pool, monkeypatch, caller, transport
+    ):
+        from repro.gatelevel import test_generation
+
+        monkeypatch.setattr(fault_sim, "MIN_FAULTS_PER_SHARD", 4)
+        monkeypatch.setattr(test_generation, "MIN_FAULTS_PER_SHARD", 4)
+        run = SHARDED_CALLERS[caller]
+        serial = run(1)
+        monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
+        with collect() as custom:
+            sharded = run(2)
+        # equal values, in the same key order, rendering byte for byte
+        assert sharded == serial
+        assert repr(sharded) == repr(serial)
+        assert custom["payload_bytes"] > 0
+        assert ("shm_bytes" in custom) == (transport == "shm")
+        assert _no_repro_segments()
+
+
+class TestOneDispatchPath:
+    """Transport choice, publication and resilience live in
+    :mod:`repro.flow.shm`; the gate-level callers only name payloads."""
+
+    MODULES = ("fault_sim", "test_generation", "bist_session", "batch")
+
+    def test_gatelevel_never_touches_transport_internals(self):
+        import pathlib
+        import re
+
+        import repro.gatelevel
+
+        root = pathlib.Path(repro.gatelevel.__file__).parent
+        banned = re.compile(
+            r"\b(PayloadPlane|resolve_transport|run_sharded)\b")
+        hits = [
+            f"{path.name}:{n}"
+            for path in sorted(root.rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if banned.search(line)
+        ]
+        assert hits == []
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_each_caller_dispatches_once(self, module):
+        import importlib
+        import inspect
+
+        src = inspect.getsource(
+            importlib.import_module(f"repro.gatelevel.{module}"))
+        assert src.count("shard_map(") == 1
 
 
 # -- scale-proof generator -------------------------------------------------
