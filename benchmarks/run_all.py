@@ -45,6 +45,26 @@ def bench_modules() -> list[str]:
     )
 
 
+def merge_timings(previous: dict | None, timings: dict[str, dict],
+                  quick: bool) -> dict:
+    """The timings aggregate after a run.
+
+    ``timings`` (this run's per-bench entries) is merged over
+    ``previous``'s entries, so a partial ``--only`` run keeps the other
+    benches' numbers; ``total_seconds`` is the sum of the merged
+    entries' ``seconds``, not the wall time of this run alone.
+    """
+    benches = dict((previous or {}).get("benches", {}))
+    benches.update(timings)
+    return {
+        "total_seconds": round(
+            sum(entry["seconds"] for entry in benches.values()), 3
+        ),
+        "quick": quick,
+        "benches": dict(sorted(benches.items())),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quiet", action="store_true")
@@ -100,19 +120,15 @@ def main(argv: list[str] | None = None) -> int:
         "run_all_timings_quick.json" if quick else
         "run_all_timings.json"
     )
+    previous = None
     if not quick and args.only and timings_path.exists():
         try:
             previous = json.loads(timings_path.read_text())
-            merged = dict(previous.get("benches", {}))
         except (ValueError, OSError):
-            merged = {}
-        merged.update(timings)
-        timings = merged
-    timings_path.write_text(json.dumps({
-        "total_seconds": round(time.perf_counter() - t_all, 3),
-        "quick": quick,
-        "benches": dict(sorted(timings.items())),
-    }, indent=2) + "\n")
+            previous = None
+    timings_path.write_text(json.dumps(
+        merge_timings(previous, timings, quick), indent=2
+    ) + "\n")
     print(
         f"{len(names) - len(failures)}/{len(names)} experiments in "
         f"{time.perf_counter() - t_all:.1f}s",

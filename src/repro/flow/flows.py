@@ -402,6 +402,7 @@ def insitu_bist_flow(names: Sequence[str] | None = None,
             code_deps=("repro.cdfg", "repro.hls", "repro.bist",
                        "repro.gatelevel.bist_session",
                        "repro.gatelevel.kernel",
+                       "repro.gatelevel.fault_sim",
                        "repro.gatelevel.structure",
                        "repro.flow.shm"),
         )
@@ -469,7 +470,7 @@ def hier_apply(hier_composite, hier_steps, hier_tests, hier_faults,
     """Fault-simulate the composed tests at gate level (with fault
     dropping: a detected fault is never simulated again).
 
-    With ``batch`` (default: ``REPRO_KERNEL_BATCH``) up to 64 composed
+    With ``batch`` (on by default) up to 64 composed
     tests pack along the pattern-width axis into one kernel invocation
     instead of one call per test.  Each packed column is exactly one
     test's constant-input sequence (absent input names default to 0 in
@@ -779,6 +780,7 @@ def coverage_flow(design: str = "gs:400:3", n_patterns: int = 256,
                 "seed": seed, "backend": backend},
         code_deps=("repro.gatelevel.random_patterns",
                    "repro.gatelevel.kernel",
+                   "repro.gatelevel.fault_sim",
                    "repro.gatelevel.batch",
                    "repro.gatelevel.structure"),
     )
@@ -1015,6 +1017,7 @@ def dmachine_flow(width: int = 16, nregs: int = 16,
         code_deps=("repro.designs",
                    "repro.gatelevel.random_patterns",
                    "repro.gatelevel.kernel",
+                   "repro.gatelevel.fault_sim",
                    "repro.gatelevel.structure"),
     )
     f.stage(
@@ -1025,6 +1028,8 @@ def dmachine_flow(width: int = 16, nregs: int = 16,
                 "seed": seed, "backend": backend, "shards": shards},
         code_deps=("repro.gatelevel.test_generation",
                    "repro.gatelevel.atpg",
+                   "repro.gatelevel.kernel",
+                   "repro.gatelevel.fault_sim",
                    "repro.gatelevel.structure",
                    "repro.flow.shm"),
     )
@@ -1036,6 +1041,7 @@ def dmachine_flow(width: int = 16, nregs: int = 16,
                 "seed": seed, "backend": backend},
         code_deps=("repro.gatelevel.random_patterns",
                    "repro.gatelevel.kernel",
+                   "repro.gatelevel.fault_sim",
                    "repro.gatelevel.structure"),
     )
     f.stage(
@@ -1048,6 +1054,7 @@ def dmachine_flow(width: int = 16, nregs: int = 16,
         code_deps=("repro.designs",
                    "repro.gatelevel.bist_session",
                    "repro.gatelevel.kernel",
+                   "repro.gatelevel.fault_sim",
                    "repro.gatelevel.structure",
                    "repro.flow.shm"),
     )

@@ -7,60 +7,44 @@ group, per-call packing.  In the many-small-designs regime — corpus
 coverage sweeps, hierarchical per-module checks, multi-tenant serving —
 that per-call overhead dominates wall-clock.
 
-This module packs N independent :class:`CompiledNetlist` programs into
-**one** block-diagonal program:
-
-* **Concatenated row spaces** — design *k*'s gate rows are offset by
-  the total row count of designs ``0..k-1``, so the fused value matrix
-  is block-diagonal and every existing kernel method (cone closures,
-  fault batches, packed sequential free-runs) works unchanged: cones
-  of faults from different designs are disjoint by construction.
-* **Merged opcode groups** — instruction groups are re-merged by
-  ``(level, opcode)`` *across* designs, so one numpy call evaluates
-  every same-kind gate of a level in every design at once.  Bitwise
-  ops are row- and column-independent, which makes the fused
-  evaluation byte-identical to per-design serial runs.
-* **Namespaced observation** — nets are qualified per design
-  (``d3/net``), so fault splitting, PI packing, and result fan-out are
-  exact inverses of the fusion.
+This module runs N independent designs as **one** N-block
+:class:`~repro.gatelevel.kernel.CompiledNetlist`
+(:meth:`~repro.gatelevel.kernel.CompiledNetlist.fuse`): concatenated
+row spaces, instruction groups re-merged by ``(level, opcode)`` across
+designs, and nets qualified per design (``d3/net``), so fault
+splitting, PI packing and result fan-out are exact inverses of the
+fusion.
 
 Jobs fuse only when compatible (same pattern width and cycle count —
 a design evaluated at a wider width than its own pattern block would
 see phantom all-zero patterns, breaking identity), so the public
 entry points group jobs first and fall back to per-design serial runs
-for singletons, the interpreter backend, or ``REPRO_KERNEL_BATCH=0``.
+for singletons, the interpreter backend, or ``batch=False``.
 
 Sharded fused runs partition the *job list* into contiguous chunks
 (per-design independence makes any partition exact) and reuse the
-PR-7 shm payload plane: member netlists travel once, by content
-digest, so a warm worker serves repeated corpora from its compiled
-cache and the per-worker fused-program LRU below.
+shm payload plane: member netlists travel once, by content digest, so
+a warm worker serves repeated corpora from its compiled cache and the
+per-worker fused-program LRU below.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from collections import OrderedDict
 from typing import Mapping, Sequence
-
-import numpy as _np
 
 from repro.flow.metrics import metrics_active, record_metric
 from repro.gatelevel.faults import Fault
 from repro.gatelevel.gates import Netlist
 from repro.gatelevel.kernel import (
-    OP_BUF,
     CompiledNetlist,
-    _Cone,
-    _FaultBatch,
-    _n_words,
+    _qual,
     compiled,
     netlist_hash,
     resolve_netlist,
 )
 
-BATCH_ENV = "REPRO_KERNEL_BATCH"
 WINDOW_ENV = "REPRO_SERVE_BATCH_WINDOW"
 
 #: cumulative fused-execution counters; served by ``/metrics`` (see
@@ -76,11 +60,11 @@ _BATCH_STATS = {
 
 
 def resolve_batch(batch: bool | None = None) -> bool:
-    """Normalise the fused-execution switch: arg > env > on."""
-    from repro.knobs import coerce_flag, env_flag
+    """Normalise the fused-execution switch (``None`` means on)."""
+    from repro.knobs import coerce_flag
 
     if batch is None:
-        return env_flag(BATCH_ENV, True)
+        return True
     return coerce_flag(batch, "batch")
 
 
@@ -98,375 +82,29 @@ def batch_stats() -> dict[str, float]:
     return dict(_BATCH_STATS)
 
 
-def _qual(k: int, name: str) -> str:
-    return f"d{k}/{name}"
+def qualify_faults(k: int, faults: Sequence[Fault]) -> list[Fault]:
+    """Design *k*'s faults renamed into the fused namespace."""
+    return [Fault(_qual(k, f.net), f.stuck_at) for f in faults]
 
 
-# ---------------------------------------------------------------------------
-# the fused program
-
-
-class FusedProgram:
-    """N compiled netlists concatenated into one block-diagonal program.
-
-    Subclasses nothing but *duck-types* :class:`CompiledNetlist`: it
-    builds the exact field layout (``opcode``/``level``/``program``/
-    row index arrays/``_consumers``) by concatenation with per-design
-    row offsets and borrows the kernel's unbound methods, so
-    ``good_cycle``, ``detect_masks``, ``fault_simulate_cycles`` and
-    ``sequential_fault_detect`` run on it unchanged.
-    """
-
-    def __init__(self, members: Sequence) -> None:
-        self.members = list(members)
-        self.netlist = None
-        offsets: list[int] = []
-        dff_offsets: list[int] = []
-        rows = 0
-        dffs = 0
-        for comp in self.members:
-            offsets.append(rows)
-            dff_offsets.append(dffs)
-            rows += comp.n_gates
-            dffs += len(comp.dff_names)
-        self.offsets = offsets
-        self.dff_offsets = dff_offsets
-        self.n_gates = rows
-
-        self.names = [
-            _qual(k, n)
-            for k, comp in enumerate(self.members) for n in comp.names
-        ]
-        self.index = {n: i for i, n in enumerate(self.names)}
-        self.opcode = _np.concatenate(
-            [comp.opcode for comp in self.members]
-        )
-        self.level = _np.concatenate(
-            [comp.level for comp in self.members]
-        )
-        self.fanin = _np.concatenate(
-            [comp.fanin + ofs for comp, ofs in zip(self.members, offsets)]
-        )
-
-        def cat(attr):
-            parts = [
-                getattr(comp, attr) + ofs
-                for comp, ofs in zip(self.members, offsets)
-                if len(getattr(comp, attr))
-            ]
-            return (_np.concatenate(parts) if parts
-                    else _np.array([], dtype=_np.int64))
-
-        self.input_rows = cat("input_rows")
-        self.const0_rows = cat("const0_rows")
-        self.const1_rows = cat("const1_rows")
-        self.dff_rows = cat("dff_rows")
-        self.dff_d_rows = cat("dff_d_rows")
-        self.output_rows = cat("output_rows")
-        self.input_names = [
-            _qual(k, n)
-            for k, comp in enumerate(self.members)
-            for n in comp.input_names
-        ]
-        self.dff_names = [
-            _qual(k, n)
-            for k, comp in enumerate(self.members)
-            for n in comp.dff_names
-        ]
-        self.dff_pos = {
-            int(row): pos for pos, row in enumerate(self.dff_rows)
-        }
-        scan_parts = [
-            comp.scan_pos + dofs
-            for comp, dofs in zip(self.members, dff_offsets)
-            if len(comp.scan_pos)
-        ]
-        self.scan_pos = (_np.concatenate(scan_parts) if scan_parts
-                         else _np.array([], dtype=_np.int64))
-
-        # Re-merge instruction groups by (level, opcode) across designs:
-        # one numpy call per group evaluates that group in *every*
-        # member at once.  Row offsets keep the blocks disjoint.
-        groups: dict[tuple[int, int], list] = {}
-        for k, (comp, ofs) in enumerate(zip(self.members, offsets)):
-            for op, dst, a, b, c in comp.program:
-                lvl = int(comp.level[dst[0]])
-                groups.setdefault((lvl, op), []).append(
-                    (k, dst + ofs, a + ofs,
-                     b + ofs if b is not None else None,
-                     c + ofs if c is not None else None)
-                )
-        self.program: list[tuple] = []
-        for (_lvl, op), parts in sorted(groups.items()):
-            if len(parts) == 1:
-                _k, dst, a, b, c = parts[0]
-            else:
-                dst = _np.concatenate([p[1] for p in parts])
-                a = _np.concatenate([p[2] for p in parts])
-                b = (_np.concatenate([p[3] for p in parts])
-                     if parts[0][3] is not None else None)
-                c = (_np.concatenate([p[4] for p in parts])
-                     if parts[0][4] is not None else None)
-            self.program.append((op, dst, a, b, c))
-        # Row -> (merged group, position within it): ``_make_batch``
-        # derives each batch's kept instructions straight from the
-        # cone-union row set with vectorised gathers, never visiting
-        # the (mostly empty) merged groups one by one.
-        row_group = _np.full(self.n_gates, -1, dtype=_np.int64)
-        row_pos = _np.zeros(self.n_gates, dtype=_np.int64)
-        for g, (_op, dst, _a, _b, _c) in enumerate(self.program):
-            row_group[dst] = g
-            row_pos[dst] = _np.arange(len(dst))
-        self._row_group = row_group
-        self._row_pos = row_pos
-
-        consumers: list[list[int]] = []
-        for comp, ofs in zip(self.members, offsets):
-            for lst in comp._consumers:
-                consumers.append([i + ofs for i in lst])
-        self._consumers = consumers
-        self._cones: dict = {}
-        self._level_program_cache = None
-
-    def qualify_faults(self, k: int, faults: Sequence[Fault]) -> list[Fault]:
-        """Design *k*'s faults renamed into the fused namespace."""
-        return [Fault(_qual(k, f.net), f.stuck_at) for f in faults]
-
-    def merge_values(self, per_design: Sequence[Mapping[str, int]]
-                     ) -> dict[str, int]:
-        """Per-design name->value dicts merged into one qualified dict."""
-        out: dict[str, int] = {}
-        for k, values in enumerate(per_design):
-            if values:
-                for name, v in values.items():
-                    out[_qual(k, name)] = v
-        return out
-
-    # ------------------------------------------------------------------
-    # span-aware overrides
-    #
-    # The borrowed kernel methods are correct on the fused layout but
-    # three of them scan the *whole* fused program per fault site or
-    # batch -- O(total rows) pure-Python work that scales with corpus
-    # size, not member size, and would make fusion slower than serial.
-    # Each override below is byte-identical by construction: fault
-    # cones never cross member blocks, so work outside the member-row
-    # span a batch touches can neither be read by its cone program nor
-    # observed.
-
-    def cone(self, site: int):
-        """Member-delegating cone: the owning design's cached cone with
-        its rows and DFF positions shifted by the block offsets."""
-        c = self._cones.get(site)
-        if c is not None:
-            return c
-        k = bisect_right(self.offsets, site) - 1
-        ofs = self.offsets[k]
-        dofs = self.dff_offsets[k]
-        mc = self.members[k].cone(site - ofs)
-        program = [
-            (op, dst + ofs, a + ofs,
-             b + ofs if b is not None else None,
-             c_ + ofs if c_ is not None else None)
-            for op, dst, a, b, c_ in mc.program
-        ]
-        cone = _Cone(
-            site, program, mc.touched + ofs, mc.obs_out + ofs,
-            mc.obs_scan + dofs,
-            None if mc.site_dff_pos is None else mc.site_dff_pos + dofs,
-        )
-        self._cones[site] = cone
-        return cone
-
-    def _make_batch(self, faults: Sequence[Fault], width: int, init,
-                    mask):
-        """Vectorised union-of-cones compile plus row-span tagging.
-
-        Same semantics as the kernel's ``_make_batch``, but the
-        per-group membership test is a numpy gather instead of a
-        Python scan, and the batch records the contiguous member-row
-        (and DFF-position) span its faults live in so ``_batch_cycle``
-        can restrict scratch refresh and state propagation to it.
-        """
-        nw = _n_words(width)
-        sites = [self.index[f.net] for f in faults]
-        forced = [
-            _np.zeros(nw, dtype=_np.uint64) if f.stuck_at == 0
-            else mask.copy()
-            for f in faults
-        ]
-        seen = set(sites)
-        stack = list(sites)
-        while stack:
-            i = stack.pop()
-            for k in self._consumers[i]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        member = _np.zeros(self.n_gates, dtype=bool)
-        member[list(seen)] = True
-        fix_by_level: dict[int, list[tuple[int, int]]] = {}
-        for blk, site in enumerate(sites):
-            if int(self.opcode[site]) >= OP_BUF:
-                fix_by_level.setdefault(int(self.level[site]), []).append(
-                    (site, blk)
-                )
-
-        # The contiguous run of member blocks this batch's cones span
-        # (faults arrive sorted by fused row, so the run is tight).
-        klo = bisect_right(self.offsets, min(seen)) - 1
-        khi = bisect_right(self.offsets, max(seen)) - 1
-        row_lo = self.offsets[klo]
-        row_hi = self.offsets[khi] + self.members[khi].n_gates
-
-        # Kept instructions straight from the cone union: gather each
-        # seen row's (group, position), order by group then position
-        # (the kernel's within-group order), split at group changes.
-        rows = _np.fromiter(seen, dtype=_np.int64, count=len(seen))
-        g_of = self._row_group[rows]
-        comb = g_of >= 0
-        rows, g_of = rows[comb], g_of[comb]
-        pos = self._row_pos[rows]
-        order = _np.lexsort((pos, g_of))
-        g_of, pos = g_of[order], pos[order]
-        uniq, starts = _np.unique(g_of, return_index=True)
-        bounds = _np.append(starts, len(g_of))
-        levels: list[tuple[list, tuple]] = []
-        cur_lvl: int | None = None
-        cur: list[tuple] = []
-        for gi, g in enumerate(uniq):
-            op, dst, a, b, c = self.program[g]
-            lvl = int(self.level[dst[0]])
-            if lvl != cur_lvl:
-                if cur:
-                    levels.append((cur, tuple(fix_by_level.get(cur_lvl,
-                                                               ()))))
-                cur_lvl, cur = lvl, []
-            sel = pos[starts[gi]:bounds[gi + 1]]
-            if len(sel) == len(dst):
-                cur.append((op, dst, a, b, c))
-            else:
-                cur.append((
-                    op, dst[sel], a[sel],
-                    b[sel] if b is not None else None,
-                    c[sel] if c is not None else None,
-                ))
-        if cur:
-            levels.append((cur, tuple(fix_by_level.get(cur_lvl, ()))))
-        obs_out = self.output_rows[member[self.output_rows]]
-        obs_scan = self.scan_pos[member[self.dff_rows[self.scan_pos]]]
-        pos_lo = self.dff_offsets[klo]
-        pos_hi = self.dff_offsets[khi] + len(self.members[khi].dff_names)
-
-        # Scan reload only matters for state rows that can be observed
-        # or re-read -- both in-span -- so clip the keep lists to it.
-        sp = self.scan_pos
-        if len(sp):
-            sp = sp[(sp >= pos_lo) & (sp < pos_hi)]
-        site_dff = [self.dff_pos.get(site) for site in sites]
-        keep = []
-        for pos in site_dff:
-            if len(sp) and pos is not None:
-                keep.append(sp[sp != pos])
-            else:
-                keep.append(sp)
-        state = _np.tile(init, (1, len(faults))) if len(self.dff_rows) \
-            else _np.zeros((0, len(faults) * nw), dtype=_np.uint64)
-        batch = _SpanFaultBatch(list(faults), sites, forced, site_dff,
-                                keep, levels, obs_out, obs_scan, state)
-        batch.row_lo = row_lo
-        batch.row_hi = row_hi
-        batch.pos_lo = pos_lo
-        batch.pos_hi = pos_hi
-        return batch
-
-    def _batch_cycle(self, batch, VS, mask_b, VG, gnxt, nw: int,
-                     width: int, cycle: int, detected: dict) -> None:
-        """Span-restricted clone of the kernel's ``_batch_cycle``.
-
-        Per-column semantics are identical; scratch refresh and state
-        propagation touch only the member-row span recorded by
-        :meth:`_make_batch`.  Out-of-span rows hold stale scratch, but
-        the batch's cone program neither reads nor observes them.
-        """
-        B = batch.size
-        lo, hi = batch.row_lo, batch.row_hi
-        plo, phi = batch.pos_lo, batch.pos_hi
-        VS.reshape(self.n_gates, B, nw)[lo:hi] = VG[lo:hi, None, :]
-        if phi > plo:
-            VS[self.dff_rows[plo:phi]] = batch.state[plo:phi]
-        for blk in range(B):
-            if batch.alive[blk]:
-                VS[batch.sites[blk],
-                   blk * nw:(blk + 1) * nw] = batch.forced[blk]
-        for instrs, fixes in batch.levels:
-            self._run_program(VS, instrs, mask_b)
-            for site, blk in fixes:
-                if batch.alive[blk]:
-                    VS[site, blk * nw:(blk + 1) * nw] = batch.forced[blk]
-        if phi > plo:
-            bnxt = VS[self.dff_d_rows].copy()
-        else:
-            bnxt = _np.zeros((0, B * nw), dtype=_np.uint64)
-        for blk in range(B):
-            if batch.alive[blk] and batch.site_dff[blk] is not None:
-                bnxt[batch.site_dff[blk],
-                     blk * nw:(blk + 1) * nw] = batch.forced[blk]
-        good_out = VG[batch.obs_out] if len(batch.obs_out) else None
-        good_scan = gnxt[batch.obs_scan] if len(batch.obs_scan) else None
-        for blk, fault in enumerate(batch.faults):
-            if not batch.alive[blk]:
-                continue
-            sl = slice(blk * nw, (blk + 1) * nw)
-            self._pattern_cycles += width
-            hit = (
-                good_out is not None
-                and not _np.array_equal(VS[batch.obs_out, sl], good_out)
-            ) or (
-                good_scan is not None
-                and not _np.array_equal(bnxt[batch.obs_scan, sl],
-                                        good_scan)
-            )
-            if hit:
-                detected[fault] = cycle
-                batch.alive[blk] = False
-                continue
-            if len(batch.keep[blk]):
-                bnxt[batch.keep[blk], sl] = gnxt[batch.keep[blk]]
-            batch.state[plo:phi, sl] = bnxt[plo:phi, sl]
-
-
-# Borrow the kernel's methods: FusedProgram has the exact field layout
-# CompiledNetlist's evaluation paths read, and none of them touch
-# ``self.netlist``.  ``cone``/``_make_batch``/``_batch_cycle`` are NOT
-# borrowed -- their span-aware overrides live in the class body above.
-def _borrow_kernel_methods() -> None:
-    for name in (
-        "words_from_int", "int_from_words", "_mask_words", "_pi_matrix",
-        "pack_pi_sequence", "_state_matrix", "_run_program", "good_cycle",
-        "_faulty_cycle", "_restore", "diff_words", "simulate",
-        "state_checkpoints", "_level_program", "sequential_fault_detect",
-        "_seq_fault_batch", "detect_masks", "fault_simulate_cycles",
-    ):
-        setattr(FusedProgram, name, CompiledNetlist.__dict__[name])
-
-
-class _SpanFaultBatch(_FaultBatch):
-    """A fault batch tagged with its member design's row/fault spans."""
-
-    __slots__ = ("row_lo", "row_hi", "pos_lo", "pos_hi")
-
-
-_borrow_kernel_methods()
+def merge_values(per_design: Sequence[Mapping[str, int]]
+                 ) -> dict[str, int]:
+    """Per-design name->value dicts merged into one qualified dict."""
+    out: dict[str, int] = {}
+    for k, values in enumerate(per_design):
+        if values:
+            for name, v in values.items():
+                out[_qual(k, name)] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
 # fused-program cache (warm workers fuse each corpus once)
 
-_FUSED: "OrderedDict[tuple, FusedProgram]" = OrderedDict()
+_FUSED: "OrderedDict[tuple, CompiledNetlist]" = OrderedDict()
 
 
-def fused_compiled(netlists: Sequence[Netlist]) -> FusedProgram:
+def fused_compiled(netlists: Sequence[Netlist]) -> CompiledNetlist:
     """The cached fused program for this exact design sequence.
 
     Keyed by the members' content digests (plus each netlist's
@@ -482,18 +120,19 @@ def fused_compiled(netlists: Sequence[Netlist]) -> FusedProgram:
     if hit is not None:
         _FUSED.move_to_end(key)
         return hit
-    fused = FusedProgram([compiled(nl) for nl in netlists])
+    fused = CompiledNetlist.fuse([compiled(nl) for nl in netlists])
     _FUSED[key] = fused
     while len(_FUSED) > shm.WORKER_CACHE_SIZE:
         _FUSED.popitem(last=False)
     return fused
 
 
-def _note_fusion(n_designs: int, fused: FusedProgram) -> None:
+def _note_fusion(n_designs: int, fused: CompiledNetlist) -> None:
     """Batch-occupancy bookkeeping: cumulative counters for ``/metrics``
     plus per-stage flow metrics when a collector is open."""
     rows = fused.n_gates
-    biggest = max(comp.n_gates for comp in fused.members)
+    ends = fused.offsets[1:] + [rows]
+    biggest = max(e - s for s, e in zip(fused.offsets, ends))
     fill = rows / (n_designs * biggest) if n_designs else 0.0
     _BATCH_STATS["fused_calls"] += 1
     _BATCH_STATS["fused_designs"] += n_designs
@@ -682,14 +321,14 @@ def _fused_sim(group: Sequence[SimJob]) -> list[dict[Fault, int | None]]:
     spans: list[tuple[int, int]] = []
     for k, job in enumerate(group):
         start = len(qfaults)
-        qfaults.extend(fused.qualify_faults(k, job.faults))
+        qfaults.extend(qualify_faults(k, job.faults))
         spans.append((start, len(qfaults)))
     cycles = len(group[0].pi_sequence)
     seq = [
-        fused.merge_values([j.pi_sequence[c] for j in group])
+        merge_values([j.pi_sequence[c] for j in group])
         for c in range(cycles)
     ]
-    state = fused.merge_values(
+    state = merge_values(
         [j.initial_state or {} for j in group]
     ) or None
     t0 = time.perf_counter()
@@ -788,10 +427,10 @@ def detect_masks_many(
         spans: list[tuple[int, int]] = []
         for k, job in enumerate(group):
             start = len(qfaults)
-            qfaults.extend(fused.qualify_faults(k, job.faults))
+            qfaults.extend(qualify_faults(k, job.faults))
             spans.append((start, len(qfaults)))
-        piv = fused.merge_values([j.pi_values for j in group])
-        state = fused.merge_values(
+        piv = merge_values([j.pi_values for j in group])
+        state = merge_values(
             [j.state or {} for j in group]
         ) or None
         res = fused.detect_masks(qfaults, piv, state, width)
@@ -836,14 +475,14 @@ def sequential_detect_many(
         observe: list[str] = []
         for k, job in enumerate(group):
             start = len(qfaults)
-            qfaults.extend(fused.qualify_faults(k, job.faults))
+            qfaults.extend(qualify_faults(k, job.faults))
             spans.append((start, len(qfaults)))
             observe.extend(_qual(k, n) for n in job.observe)
-        piv = fused.merge_values([j.pi_values for j in group])
-        forced = fused.merge_values(
+        piv = merge_values([j.pi_values for j in group])
+        forced = merge_values(
             [j.forced or {} for j in group]
         ) or None
-        state = fused.merge_values(
+        state = merge_values(
             [j.initial_state or {} for j in group]
         ) or None
         res = fused.sequential_fault_detect(

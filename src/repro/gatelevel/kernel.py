@@ -27,6 +27,10 @@ integer-indexed program and evaluates it over numpy ``uint64`` words:
   *b* (its inputs are good there), so per-block detection against the
   union's observation rows is exact.  This amortises the per-call numpy
   overhead that would otherwise dominate on per-fault-sized arrays.
+* **Program blocks** — :meth:`CompiledNetlist.fuse` concatenates N
+  compiled designs into one N-block program (a single design is the
+  one-block case), so one pass evaluates a whole corpus; a fault
+  batch's scratch and state work stays inside the blocks it touches.
 
 Results are bit-identical to the interpreter (property-tested in
 ``tests/test_kernel_equivalence.py``): stuck-at forcing applies after a
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+from bisect import bisect_right
 from collections import OrderedDict
 from typing import Mapping, Sequence
 from weakref import WeakKeyDictionary
@@ -45,7 +50,7 @@ from weakref import WeakKeyDictionary
 import numpy as _np
 
 from repro.gatelevel.faults import Fault
-from repro.gatelevel.gates import COMBINATIONAL_KINDS, Netlist, NetlistError
+from repro.gatelevel.gates import _ARITY as _KIND_ARITY, Netlist, NetlistError
 
 
 # Opcodes.  Sources first, then unary, then the binary/ternary ops.
@@ -80,14 +85,16 @@ class _FaultBatch:
     Fault *b* owns word columns ``b*nw:(b+1)*nw``; ``levels`` is the
     union-of-cones program grouped by level, each with the site
     re-forcings to apply in their blocks once that level completes.
+    ``row_lo:row_hi`` and ``pos_lo:pos_hi`` are the gate rows and DFF
+    positions of the program blocks the batch's cones live in.
     """
 
     __slots__ = ("faults", "sites", "forced", "site_dff", "keep",
                  "levels", "obs_out", "obs_scan", "state", "alive",
-                 "size")
+                 "size", "row_lo", "row_hi", "pos_lo", "pos_hi")
 
     def __init__(self, faults, sites, forced, site_dff, keep, levels,
-                 obs_out, obs_scan, state) -> None:
+                 obs_out, obs_scan, state, span) -> None:
         self.faults = faults
         self.sites = sites
         self.forced = forced          # per fault: word vector to force
@@ -99,6 +106,7 @@ class _FaultBatch:
         self.state = state            # (n_dffs, size*nw) faulty states
         self.alive = [True] * len(faults)
         self.size = len(faults)
+        self.row_lo, self.row_hi, self.pos_lo, self.pos_hi = span
 
 
 class _Cone:
@@ -117,8 +125,26 @@ class _Cone:
         self.site_dff_pos = site_dff_pos
 
 
+#: fanin count per opcode
+_ARITY = _np.array([_KIND_ARITY[kind]
+                    for kind in sorted(_OPCODE, key=_OPCODE.get)])
+
+
+def _qual(k: int, name: str) -> str:
+    """Net ``name`` of block *k* in a fused program's namespace."""
+    return f"d{k}/{name}"
+
+
 class CompiledNetlist:
-    """A :class:`Netlist` levelized into a flat numpy program."""
+    """A :class:`Netlist` levelized into a flat numpy program.
+
+    A program holds one or more independent *blocks* of gate rows.  A
+    compiled netlist is one block; :meth:`fuse` concatenates N of them
+    into an N-block program (block *k* starts at gate row ``offsets[k]``
+    and DFF position ``dff_offsets[k]``).  Fault cones never cross
+    blocks, so a fault batch restricts its work to the blocks its cones
+    span -- with one block that span is the whole program.
+    """
 
     def __init__(self, netlist: Netlist) -> None:
         # Fail on malformed structure here, with a NetlistError naming
@@ -129,80 +155,130 @@ class CompiledNetlist:
         order = netlist.topo_order()
         levels = netlist.levels()
         self.names: list[str] = list(order)
-        self.index: dict[str, int] = {n: i for i, n in enumerate(order)}
+        index = {n: i for i, n in enumerate(order)}
         n = len(order)
-        self.n_gates = n
 
         opcode = _np.zeros(n, dtype=_np.uint8)
-        fanin = _np.zeros((n, 3), dtype=_np.int64)
+        fanin = _np.zeros((3, n), dtype=_np.int64)  # operand j of row i
         level = _np.zeros(n, dtype=_np.int64)
-        input_rows: list[int] = []
-        const0_rows: list[int] = []
-        const1_rows: list[int] = []
-        dff_rows: list[int] = []
-        dff_d_rows: list[int] = []
         scan_flags: list[bool] = []
         for i, name in enumerate(order):
             g = netlist.gate(name)
-            op = _OPCODE[g.kind]
-            opcode[i] = op
+            opcode[i] = _OPCODE[g.kind]
             level[i] = levels[name]
             for j, src in enumerate(g.inputs):
-                fanin[i, j] = self.index[src]
-            if op == OP_INPUT:
-                input_rows.append(i)
-            elif op == OP_CONST0:
-                const0_rows.append(i)
-            elif op == OP_CONST1:
-                const1_rows.append(i)
-            elif op == OP_DFF:
-                dff_rows.append(i)
-                dff_d_rows.append(self.index[g.inputs[0]])
+                fanin[j, i] = index[src]
+            if g.kind == "dff":
                 scan_flags.append(g.scan)
         self.opcode = opcode
         self.fanin = fanin
         self.level = level
-        self.input_rows = _np.array(input_rows, dtype=_np.int64)
-        self.input_names = [order[i] for i in input_rows]
-        self.const0_rows = _np.array(const0_rows, dtype=_np.int64)
-        self.const1_rows = _np.array(const1_rows, dtype=_np.int64)
-        self.dff_rows = _np.array(dff_rows, dtype=_np.int64)
-        self.dff_names = [order[i] for i in dff_rows]
-        self.dff_d_rows = _np.array(dff_d_rows, dtype=_np.int64)
-        self.dff_pos = {row: pos for pos, row in enumerate(dff_rows)}
-        self.scan_pos = _np.array(
-            [pos for pos, s in enumerate(scan_flags) if s],
-            dtype=_np.int64,
+        self.input_rows = _np.flatnonzero(opcode == OP_INPUT)
+        self.const0_rows = _np.flatnonzero(opcode == OP_CONST0)
+        self.const1_rows = _np.flatnonzero(opcode == OP_CONST1)
+        self.dff_rows = _np.flatnonzero(opcode == OP_DFF)
+        self.dff_d_rows = fanin[0, self.dff_rows]
+        self.input_names = [order[i] for i in self.input_rows]
+        self.dff_names = [order[i] for i in self.dff_rows]
+        self.scan_pos = _np.flatnonzero(
+            _np.array(scan_flags, dtype=bool)
         )
         self.output_rows = _np.array(
-            [self.index[o] for o in netlist.outputs], dtype=_np.int64
+            [index[o] for o in netlist.outputs], dtype=_np.int64
         )
+        self._link([0], [0])
+
+    @classmethod
+    def fuse(cls, members: Sequence["CompiledNetlist"]) -> "CompiledNetlist":
+        """``members`` concatenated into one N-block program.
+
+        Block *k* is member *k* with its gate rows shifted by the rows
+        of members ``0..k-1`` (its DFF positions likewise) and its nets
+        named ``d{k}/net``.  Instruction groups re-merge by ``(level,
+        opcode)`` across blocks, so one numpy call evaluates a level's
+        same-kind gates in every design at once; bitwise ops are row-
+        and column-independent, which keeps every result byte-identical
+        to per-member runs.
+        """
+        self = cls.__new__(cls)
+        self.netlist = None
+        offsets: list[int] = []
+        dff_offsets: list[int] = []
+        rows = dffs = 0
+        for comp in members:
+            offsets.append(rows)
+            dff_offsets.append(dffs)
+            rows += comp.n_gates
+            dffs += len(comp.dff_rows)
+
+        def cat(attr, shifts):
+            return _np.concatenate(
+                [getattr(comp, attr) + s for comp, s in zip(members, shifts)],
+                axis=-1,
+            )
+
+        def qual(attr):
+            return [_qual(k, n) for k, comp in enumerate(members)
+                    for n in getattr(comp, attr)]
+
+        self.opcode = _np.concatenate([comp.opcode for comp in members])
+        self.level = _np.concatenate([comp.level for comp in members])
+        self.fanin = cat("fanin", offsets)
+        for attr in ("input_rows", "const0_rows", "const1_rows",
+                     "dff_rows", "dff_d_rows", "output_rows"):
+            setattr(self, attr, cat(attr, offsets))
+        self.scan_pos = cat("scan_pos", dff_offsets)
+        self.names = qual("names")
+        self.input_names = qual("input_names")
+        self.dff_names = qual("dff_names")
+        self._link(offsets, dff_offsets)
+        return self
+
+    def _link(self, offsets: list[int], dff_offsets: list[int]) -> None:
+        """Everything derived from the per-gate arrays: name and DFF
+        indexes, the row -> instruction group index, the levelized
+        instruction stream, and the fanout adjacency."""
+        self.offsets = offsets
+        self.dff_offsets = dff_offsets
+        n = self.n_gates = len(self.opcode)
+        self.index: dict[str, int] = {m: i for i, m in enumerate(self.names)}
+        self.dff_pos = {row: pos
+                        for pos, row in enumerate(self.dff_rows.tolist())}
 
         # The levelized instruction stream: gates grouped by
-        # (level, opcode), indices ascending within a group.
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i in range(n):
-            op = int(opcode[i])
-            if op >= OP_BUF:
-                groups.setdefault((int(level[i]), op), []).append(i)
-        self.program: list[tuple] = []
-        for (lvl, op), rows in sorted(groups.items()):
-            dst = _np.array(rows, dtype=_np.int64)
-            a = fanin[dst, 0]
-            b = fanin[dst, 1] if op >= OP_AND else None
-            c = fanin[dst, 2] if op == OP_MUX else None
-            self.program.append((op, dst, a, b, c))
+        # (level, opcode), rows ascending within a group.  Each
+        # combinational row records its group, so a restricted program
+        # is gathered from its rows (_restrict), not by scanning groups.
+        comb = _np.flatnonzero(self.opcode >= OP_BUF)
+        key = self.level[comb] * 16 + self.opcode[comb]
+        order = _np.argsort(key, kind="stable")
+        key = key[order]
+        new_group = _np.diff(key, prepend=-1) != 0
+        starts = _np.flatnonzero(new_group)
+        self._row_group = _np.full(n, -1, dtype=_np.int64)
+        self._row_group[comb[order]] = _np.cumsum(new_group) - 1
+        self._group_level = (key[starts] // 16).tolist()
+        self.program: list[tuple] = [
+            self._instruction(op, dst) for op, dst in
+            zip((key[starts] % 16).tolist(),
+                _np.split(comb[order], starts[1:]))
+        ]
+        # The same stream as [(level, [instructions])], for the paths
+        # that act once per level.
+        self._levels = self._restrict(comb)
 
-        # Fanout adjacency (a DFF "consumes" its D input, which folds
-        # the cross-cycle edge D -> state into the closure).
-        consumers: list[list[int]] = [[] for _ in range(n)]
-        for i, name in enumerate(order):
-            g = netlist.gate(name)
-            for src in g.inputs:
-                consumers[self.index[src]].append(i)
-        self._consumers = consumers
+        # Fanout adjacency: the consumers of each row (a DFF "consumes"
+        # its D input, which folds the cross-cycle edge D -> state into
+        # the closure).
+        arity = _ARITY[self.opcode]
+        self._consumers: list[list[int]] = [[] for _ in range(n)]
+        for j in range(3):
+            readers = _np.flatnonzero(arity > j)
+            for src, row in zip(self.fanin[j, readers].tolist(),
+                                readers.tolist()):
+                self._consumers[src].append(row)
         self._cones: dict[int, _Cone] = {}
-        self._level_program_cache: list[tuple[int, list]] | None = None
+        self._pattern_cycles = 0  # bookkeeping for patterns/sec metrics
 
     # ------------------------------------------------------------------
     # word packing
@@ -335,44 +411,76 @@ class CompiledNetlist:
     # ------------------------------------------------------------------
     # cone-restricted faulty evaluation
 
+    def _fanout_closure(self, sites) -> set[int]:
+        """Every gate row reachable from ``sites`` (included)."""
+        consumers = self._consumers
+        seen = set(sites)
+        stack = list(seen)
+        while stack:
+            i = stack.pop()
+            for k in consumers[i]:
+                if k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+        return seen
+
+    def _instruction(self, op: int, dst) -> tuple:
+        """``(op, dst, a, b, c)``: gate rows ``dst`` with their operand
+        rows (``None`` for operands the opcode does not read)."""
+        a, b, c = self.fanin
+        return (
+            op, dst, a[dst],
+            b[dst] if op >= OP_AND else None,
+            c[dst] if op == OP_MUX else None,
+        )
+
+    def _restrict(self, rows) -> list[tuple[int, list]]:
+        """:attr:`program` restricted to ascending gate ``rows``, as
+        ``[(level, [instructions])]``.
+
+        One stable sort by the rows' compile-time group ids orders them
+        as the program does (groups in program order, rows ascending
+        within one), so the cost follows the rows kept rather than the
+        program size.  A fully kept group shares the program's arrays;
+        source rows are dropped.
+        """
+        g_of = self._row_group[rows]
+        rows, g_of = rows[g_of >= 0], g_of[g_of >= 0]
+        order = _np.argsort(g_of, kind="stable")
+        rows, g_of = rows[order], g_of[order]
+        starts = _np.flatnonzero(_np.diff(g_of, prepend=-1))
+        ends = starts[1:].tolist() + [len(rows)]
+        out: list[tuple[int, list]] = []
+        for g, s, e in zip(g_of[starts].tolist(), starts.tolist(), ends):
+            instr = self.program[g]
+            if e - s < len(instr[1]):
+                instr = self._instruction(instr[0], rows[s:e])
+            lvl = self._group_level[g]
+            if not out or out[-1][0] != lvl:
+                out.append((lvl, []))
+            out[-1][1].append(instr)
+        return out
+
+    def _observed(self, member):
+        """``(output rows, scan DFF positions)`` whose rows ``member``
+        (a boolean row mask) marks."""
+        return (self.output_rows[member[self.output_rows]],
+                self.scan_pos[member[self.dff_rows[self.scan_pos]]])
+
     def cone(self, site: int) -> _Cone:
         """The compiled fanout closure of gate row ``site`` (cached)."""
         c = self._cones.get(site)
         if c is not None:
             return c
-        seen = {site}
-        stack = [site]
-        while stack:
-            i = stack.pop()
-            for k in self._consumers[i]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        program: list[tuple] = []
-        touched: list[int] = []
-        for op, dst, a, b, c_ in self.program:
-            keep = [j for j, row in enumerate(dst)
-                    if int(row) in seen and int(row) != site]
-            if not keep:
-                continue
-            sel = _np.array(keep, dtype=_np.int64)
-            program.append((
-                op, dst[sel], a[sel],
-                b[sel] if b is not None else None,
-                c_[sel] if c_ is not None else None,
-            ))
-            touched.extend(int(r) for r in dst[sel])
-        obs_out = _np.array(
-            [r for r in self.output_rows if int(r) in seen],
-            dtype=_np.int64,
-        )
-        obs_scan = _np.array(
-            [pos for pos in self.scan_pos if int(self.dff_rows[pos]) in seen],
-            dtype=_np.int64,
-        )
+        member = _np.zeros(self.n_gates, dtype=bool)
+        member[list(self._fanout_closure([site]))] = True
+        obs_out, obs_scan = self._observed(member)
+        member[site] = False
+        rows = _np.flatnonzero(member)
+        program = [instr for _lvl, instrs in self._restrict(rows)
+                   for instr in instrs]
         cone = _Cone(
-            site, program,
-            _np.array(sorted(set(touched)), dtype=_np.int64),
+            site, program, rows[self._row_group[rows] >= 0],
             obs_out, obs_scan, self.dff_pos.get(site),
         )
         self._cones[site] = cone
@@ -482,24 +590,6 @@ class CompiledNetlist:
 
     # ------------------------------------------------------------------
     # fault-parallel sequential simulation
-
-    def _level_program(self) -> list[tuple[int, list]]:
-        """:attr:`program` regrouped as ``[(level, [instructions])]``.
-
-        The fault-parallel sequential path re-forces fault columns once
-        per level, so it wants level boundaries rather than the flat
-        (level, opcode) stream.  Built once per compile.
-        """
-        cached = self._level_program_cache
-        if cached is None:
-            cached = []
-            for instr in self.program:
-                lvl = int(self.level[instr[1][0]])
-                if not cached or cached[-1][0] != lvl:
-                    cached.append((lvl, []))
-                cached[-1][1].append(instr)
-            self._level_program_cache = cached
-        return cached
 
     def sequential_fault_detect(
         self,
@@ -617,7 +707,6 @@ class CompiledNetlist:
                 state_fixes.append((p, keep, setw))
 
         alive = (1 << nbits) - 2  # columns 1..len(batch)
-        levels = self._level_program()
         V = _np.zeros((self.n_gates, nw), dtype=_np.uint64)
         mark_set = set(marks)
         for cycle in range(1, marks[-1] + 1):
@@ -632,7 +721,7 @@ class CompiledNetlist:
                 V[row] = words
             for site, keep, setw in source_fixes:
                 V[site] = (V[site] & keep) | setw
-            for lvl, instrs in levels:
+            for lvl, instrs in self._levels:
                 self._run_program(V, instrs, ones)
                 for row, words in forced_by_level.get(lvl, ()):
                     V[row] = words
@@ -645,9 +734,7 @@ class CompiledNetlist:
                 for p, keep, setw in state_fixes:
                     nxt[p] = (nxt[p] & keep) | setw
                 state = nxt
-            self._pattern_cycles = getattr(
-                self, "_pattern_cycles", 0
-            ) + bin(alive).count("1")
+            self._pattern_cycles += bin(alive).count("1")
             if cycle in mark_set:
                 S = state[obs_pos]
                 golden = (S[:, 0] & _np.uint64(1)).astype(bool)
@@ -709,7 +796,8 @@ class CompiledNetlist:
     def _make_batch(self, faults: Sequence[Fault], width: int, init,
                     mask) -> _FaultBatch:
         """Compile one fault block batch: union-of-cones program plus
-        per-fault forcing/observation bookkeeping."""
+        per-fault forcing/observation bookkeeping, and the span of
+        program blocks its cones live in."""
         nw = _n_words(width)
         sites = [self.index[f.net] for f in faults]
         forced = [
@@ -717,14 +805,9 @@ class CompiledNetlist:
             else mask.copy()
             for f in faults
         ]
-        seen = set(sites)
-        stack = list(sites)
-        while stack:
-            i = stack.pop()
-            for k in self._consumers[i]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
+        member = _np.zeros(self.n_gates, dtype=bool)
+        member[list(self._fanout_closure(sites))] = True
+        rows = _np.flatnonzero(member)
         # Site re-forcings, keyed by the level whose evaluation would
         # overwrite them (source-row sites are never overwritten).
         fix_by_level: dict[int, list[tuple[int, int]]] = {}
@@ -733,58 +816,44 @@ class CompiledNetlist:
                 fix_by_level.setdefault(int(self.level[site]), []).append(
                     (site, blk)
                 )
-        levels: list[tuple[list, tuple]] = []
-        cur_lvl: int | None = None
-        cur: list[tuple] = []
-        for op, dst, a, b, c in self.program:
-            kept = [j for j, row in enumerate(dst) if int(row) in seen]
-            if not kept:
-                continue
-            lvl = int(self.level[dst[0]])
-            if lvl != cur_lvl:
-                if cur:
-                    levels.append((cur, tuple(fix_by_level.get(cur_lvl, ()))))
-                cur_lvl, cur = lvl, []
-            if len(kept) == len(dst):
-                cur.append((op, dst, a, b, c))
-            else:
-                sel = _np.array(kept, dtype=_np.int64)
-                cur.append((
-                    op, dst[sel], a[sel],
-                    b[sel] if b is not None else None,
-                    c[sel] if c is not None else None,
-                ))
-        if cur:
-            levels.append((cur, tuple(fix_by_level.get(cur_lvl, ()))))
-        obs_out = _np.array(
-            [r for r in self.output_rows if int(r) in seen],
-            dtype=_np.int64,
-        )
-        obs_scan = _np.array(
-            [pos for pos in self.scan_pos
-             if int(self.dff_rows[pos]) in seen],
-            dtype=_np.int64,
-        )
+        levels = [(instrs, tuple(fix_by_level.get(lvl, ())))
+                  for lvl, instrs in self._restrict(rows)]
+        obs_out, obs_scan = self._observed(member)
+
+        # The contiguous run of blocks the cones span (faults arrive
+        # sorted by row, so the run is tight).
+        klo = bisect_right(self.offsets, int(rows[0])) - 1
+        khi = bisect_right(self.offsets, int(rows[-1]))
+        row_ends = self.offsets + [self.n_gates]
+        pos_ends = self.dff_offsets + [len(self.dff_rows)]
+        span = (row_ends[klo], row_ends[khi], pos_ends[klo], pos_ends[khi])
+
+        # Scan reload only matters for state rows that can be observed
+        # or re-read -- both in-span -- so clip the keep lists to it.
+        sp = self.scan_pos
+        sp = sp[(sp >= span[2]) & (sp < span[3])]
         site_dff = [self.dff_pos.get(site) for site in sites]
-        keep = []
-        for pos in site_dff:
-            if len(self.scan_pos) and pos is not None:
-                keep.append(self.scan_pos[self.scan_pos != pos])
-            else:
-                keep.append(self.scan_pos)
-        state = _np.tile(init, (1, len(faults))) if len(self.dff_rows) \
-            else _np.zeros((0, len(faults) * nw), dtype=_np.uint64)
+        keep = [sp[sp != pos] if pos is not None else sp
+                for pos in site_dff]
+        state = _np.tile(init, (1, len(faults)))
         return _FaultBatch(list(faults), sites, forced, site_dff, keep,
-                           levels, obs_out, obs_scan, state)
+                           levels, obs_out, obs_scan, state, span)
 
     def _batch_cycle(self, batch: _FaultBatch, VS, mask_b, VG, gnxt,
                      nw: int, width: int, cycle: int,
                      detected: dict) -> None:
-        """One clock edge for every live fault block in ``batch``."""
+        """One clock edge for every live fault block in ``batch``.
+
+        Scratch refresh and state propagation touch only the batch's
+        block span.  Rows outside it hold stale scratch, but the
+        batch's cone program neither reads nor observes them.
+        """
         B = batch.size
-        VS.reshape(self.n_gates, B, nw)[:] = VG[:, None, :]
-        if len(self.dff_rows):
-            VS[self.dff_rows] = batch.state
+        lo, hi = batch.row_lo, batch.row_hi
+        plo, phi = batch.pos_lo, batch.pos_hi
+        VS.reshape(self.n_gates, B, nw)[lo:hi] = VG[lo:hi, None, :]
+        if phi > plo:
+            VS[self.dff_rows[plo:phi]] = batch.state[plo:phi]
         for blk in range(B):
             if batch.alive[blk]:
                 VS[batch.sites[blk],
@@ -794,7 +863,7 @@ class CompiledNetlist:
             for site, blk in fixes:
                 if batch.alive[blk]:
                     VS[site, blk * nw:(blk + 1) * nw] = batch.forced[blk]
-        if len(self.dff_rows):
+        if phi > plo:
             bnxt = VS[self.dff_d_rows].copy()
         else:
             bnxt = _np.zeros((0, B * nw), dtype=_np.uint64)
@@ -825,7 +894,7 @@ class CompiledNetlist:
             # except a scan FF carrying the fault itself.
             if len(batch.keep[blk]):
                 bnxt[batch.keep[blk], sl] = gnxt[batch.keep[blk]]
-            batch.state[:, sl] = bnxt[:, sl]
+            batch.state[plo:phi, sl] = bnxt[plo:phi, sl]
 
     def fault_simulate_cycles(
         self,
@@ -854,7 +923,7 @@ class CompiledNetlist:
         nw = _n_words(width)
         known = [f for f in faults if f.net in self.index]
         detected: dict[Fault, int | None] = {f: None for f in faults}
-        self._pattern_cycles = 0  # bookkeeping for patterns/sec metrics
+        self._pattern_cycles = 0
         if pi_words is not None:
             pw_seq = list(pi_words)
         else:

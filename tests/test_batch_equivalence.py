@@ -38,7 +38,7 @@ from repro.gatelevel.bist_session import (
 )
 from repro.gatelevel.fault_sim import fault_simulate_cycles
 from repro.gatelevel.faults import all_faults
-from repro.gatelevel.kernel import compiled
+from repro.gatelevel.kernel import CompiledNetlist, compiled
 from repro.knobs import KnobError
 from tests.test_kernel_equivalence import _sequence, netlists
 
@@ -140,6 +140,80 @@ class TestFusedFaultSim:
         assert 0.0 < stats["last_fill_ratio"] <= 1.0
         assert custom["batch_designs"] == 2
         assert custom["batch_rows"] == stats["last_rows"]
+
+
+# -- one kernel class -------------------------------------------------------
+
+def _same_instrs(got, want, shift=0):
+    assert len(got) == len(want)
+    for (op, *ops), (wop, *wops) in zip(got, want):
+        assert op == wop
+        for arr, warr in zip(ops, wops):
+            if warr is None:
+                assert arr is None
+            else:
+                assert arr.tolist() == (warr + shift).tolist()
+
+
+class TestOneKernelClass:
+    """A fused program is the N-block case of ``CompiledNetlist``."""
+
+    def test_fused_compiled_is_a_compiled_netlist(self):
+        nls = [genscale.generate_netlist(60, seed=s) for s in (21, 22)]
+        fused = batch.fused_compiled(nls)
+        assert type(fused) is CompiledNetlist
+        assert fused.offsets == [0, compiled(nls[0]).n_gates]
+
+    def test_one_block_fuse_matches_compile(self):
+        comp = compiled(genscale.generate_netlist(150, seed=23,
+                                                  signature_bits=4))
+        one = CompiledNetlist.fuse([comp])
+        assert comp.offsets == one.offsets == [0]
+        assert comp.dff_offsets == one.dff_offsets == [0]
+        _same_instrs(one.program, comp.program)
+        for attr in ("opcode", "level", "input_rows", "const0_rows",
+                     "const1_rows", "dff_rows", "dff_d_rows",
+                     "output_rows", "scan_pos"):
+            assert getattr(one, attr).tolist() == \
+                getattr(comp, attr).tolist(), attr
+        for attr in ("names", "input_names", "dff_names"):
+            assert getattr(one, attr) == [
+                "d0/" + n for n in getattr(comp, attr)
+            ], attr
+
+    def test_fused_cone_is_shifted_member_cone(self):
+        members = [compiled(genscale.generate_netlist(n, seed=s))
+                   for n, s in ((80, 24), (120, 25), (60, 26))]
+        fused = CompiledNetlist.fuse(members)
+        for k, comp in enumerate(members):
+            ofs, dofs = fused.offsets[k], fused.dff_offsets[k]
+            for site in range(0, comp.n_gates, 7):
+                got = fused.cone(site + ofs)
+                want = comp.cone(site)
+                assert got.site == site + ofs
+                _same_instrs(got.program, want.program, ofs)
+                assert got.touched.tolist() == (want.touched
+                                                + ofs).tolist()
+                assert got.obs_out.tolist() == (want.obs_out
+                                                + ofs).tolist()
+                assert got.obs_scan.tolist() == (want.obs_scan
+                                                 + dofs).tolist()
+                assert got.site_dff_pos == (
+                    None if want.site_dff_pos is None
+                    else want.site_dff_pos + dofs
+                )
+
+    def test_batch_module_assigns_no_kernel_attribute(self):
+        import ast
+        import inspect
+
+        nodes = list(ast.walk(ast.parse(inspect.getsource(batch))))
+        used = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                and getattr(n.value, "id", None) == "CompiledNetlist"}
+        assert used <= {"fuse"}
+        assert not any(isinstance(n, ast.Call)
+                       and getattr(n.func, "id", None) == "setattr"
+                       for n in nodes)
 
 
 # -- shard identity ---------------------------------------------------------
@@ -444,14 +518,12 @@ class TestServeCoalescing:
 # -- knobs ------------------------------------------------------------------
 
 class TestBatchKnobs:
-    def test_kernel_batch_flag(self, monkeypatch):
+    def test_kernel_batch_flag(self):
         assert resolve_batch(None) is True  # default on
-        monkeypatch.setenv(batch.BATCH_ENV, "0")
-        assert resolve_batch(None) is False
-        assert resolve_batch(True) is True  # arg wins
-        monkeypatch.setenv(batch.BATCH_ENV, "maybe")
+        assert resolve_batch(True) is True
+        assert resolve_batch("0") is False
         with pytest.raises(KnobError):
-            resolve_batch(None)
+            resolve_batch("maybe")
 
     def test_serve_batch_window(self, monkeypatch):
         assert resolve_batch_window(None) == 0.0
@@ -467,5 +539,4 @@ class TestBatchKnobs:
     def test_knobs_registered(self):
         from repro.knobs import KNOWN_KNOBS
 
-        assert batch.BATCH_ENV in KNOWN_KNOBS
         assert batch.WINDOW_ENV in KNOWN_KNOBS

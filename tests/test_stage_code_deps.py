@@ -77,3 +77,26 @@ def test_dispatch_edit_changes_sharded_fingerprint(monkeypatch, flow_name,
     before = _fingerprints(flow_name)[stage_name]
     _edited(monkeypatch, DISPATCH)
     assert _fingerprints(flow_name)[stage_name] != before
+
+
+KERNEL_MODULES = ("repro.gatelevel.kernel", "repro.gatelevel.fault_sim")
+
+
+def _backend_stages() -> list[tuple[str, str]]:
+    return [
+        (flow_name, name)
+        for flow_name in sorted(FLOWS)
+        for name, st in get_flow(flow_name).stages.items()
+        if "backend" in st.params
+    ]
+
+
+@pytest.mark.parametrize("module", KERNEL_MODULES)
+@pytest.mark.parametrize("flow_name,stage_name", _backend_stages())
+def test_kernel_edit_changes_backend_fingerprint(monkeypatch, flow_name,
+                                                 stage_name, module):
+    """A stage that picks a fault-simulation backend runs the compiled
+    kernel through ``fault_sim``; editing either must move its key."""
+    before = _fingerprints(flow_name)[stage_name]
+    _edited(monkeypatch, module)
+    assert _fingerprints(flow_name)[stage_name] != before
